@@ -5,6 +5,7 @@ from repro.core.mapping_ebnn import (
     EBNN_TASKLETS,
     IMAGES_PER_DPU,
     EbnnDpuLayout,
+    EbnnExecutor,
     EbnnPimRunner,
     EbnnRunResult,
     charge_ebnn_costs,
@@ -15,6 +16,7 @@ from repro.core.mapping_yolo import (
     YOLO_TASKLETS,
     AccumulatorPolicy,
     YoloDpuLayout,
+    YoloExecutor,
     YoloNetworkTiming,
     YoloPimRunner,
     charge_gemm_row_costs,
@@ -49,6 +51,7 @@ __all__ = [
     "EBNN_TASKLETS",
     "IMAGES_PER_DPU",
     "EbnnDpuLayout",
+    "EbnnExecutor",
     "EbnnPimRunner",
     "EbnnRunResult",
     "charge_ebnn_costs",
@@ -57,6 +60,7 @@ __all__ = [
     "YOLO_TASKLETS",
     "AccumulatorPolicy",
     "YoloDpuLayout",
+    "YoloExecutor",
     "YoloNetworkTiming",
     "YoloPimRunner",
     "charge_gemm_row_costs",

@@ -17,7 +17,9 @@ Scheme summary (Sections 4.1.3-4.1.4):
 
 The cost recipe (:func:`charge_ebnn_costs`) is the single source of truth
 for eBNN DPU cycles: the functional kernel and the closed-form sweeps both
-charge through it.
+charge through it.  Likewise :class:`EbnnExecutor` is the one wave
+implementation: the offline :class:`EbnnPimRunner` and the serving
+``EbnnBackend`` are thin adapters over it.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from repro.dpu.device import DpuImage
 from repro.dpu.profiler import SubroutineProfile
 from repro.errors import MappingError
 from repro.host.alignment import align_up
-from repro.host.runtime import DpuSystem, LaunchReport  # noqa: F401 (waves)
+from repro.host.runtime import DpuSet, DpuSystem, LaunchReport
 from repro.nn.binary import (
     MNIST_PACKED_PADDED_BYTES,
     pack_bits,
@@ -226,6 +228,108 @@ def ebnn_conv_pool_kernel(
     charge_ebnn_costs(ctx, config, layout, n_images, use_lut=use_lut)
 
 
+class EbnnExecutor:
+    """The multi-image-per-DPU eBNN wave, shared by offline and serving.
+
+    Owns the layout, the program image and the Algorithm 1 LUT.
+    :meth:`warm` loads the image and broadcasts the LUT once per allocated
+    set; each wave then only scatters packed images and per-DPU counts
+    onto the DPUs that hold at least one image (:meth:`stage`), and
+    :meth:`classify` reads a DPU's binary features back and runs the
+    host-side FC + softmax.
+    """
+
+    #: Host-side FC+softmax time per image (a Xeon-class constant; the
+    #: host overlaps this with nothing in the thesis's serial read-out).
+    HOST_SECONDS_PER_IMAGE = 2.0e-6
+
+    def __init__(
+        self,
+        model: EbnnModel,
+        *,
+        use_lut: bool = True,
+        images_per_dpu: int = IMAGES_PER_DPU,
+        n_tasklets: int = EBNN_TASKLETS,
+        opt_level: OptLevel = OptLevel.O3,
+    ) -> None:
+        if images_per_dpu < 1:
+            raise MappingError(
+                f"images_per_dpu must be >= 1, got {images_per_dpu}"
+            )
+        self.model = model
+        self.use_lut = use_lut
+        self.layout = EbnnDpuLayout(model.config, images_per_dpu)
+        staged = self.layout.images_bytes
+        if staged > 2048:
+            raise MappingError(
+                f"{images_per_dpu} images need {staged} bytes of staging; "
+                f"the DMA transfer cap is 2048 (Section 4.1.3)"
+            )
+        self.image = self.layout.build_image()
+        self.lut = (
+            create_lut(model.bn, *model.config.conv_range) if use_lut else None
+        )
+        #: Keyword arguments of every set launch of the conv-pool kernel.
+        self.launch_args = dict(
+            n_tasklets=n_tasklets,
+            opt_level=opt_level,
+            model=model,
+            layout=self.layout,
+            use_lut=use_lut,
+        )
+
+    def warm(self, dpu_set: DpuSet) -> None:
+        """Load the kernel image and broadcast the LUT onto a fresh set."""
+        dpu_set.load(self.image)
+        if self.use_lut:
+            lut_raw = self.lut.to_bytes().ljust(self.layout.lut_bytes, b"\0")
+            dpu_set.broadcast("lut", np.frombuffer(lut_raw, dtype=np.uint8))
+
+    def stage(self, members, attributes, images) -> tuple[DpuSet, list[int]]:
+        """Scatter one wave of images onto warm ``members``.
+
+        Images fill the members in order, ``images_per_dpu`` to a DPU;
+        only the DPUs that receive at least one image join the returned
+        launch view.  Also returns each view DPU's image count.
+        """
+        layout = self.layout
+        per_dpu = layout.images_per_dpu
+        n_active = min(len(members), -(-len(images) // per_dpu))
+        view = DpuSet(list(members[:n_active]), attributes)
+        view.image = self.image  # loaded by warm(); no reload needed
+        chunks = [images[d * per_dpu : (d + 1) * per_dpu] for d in range(n_active)]
+        blocks = []
+        for chunk in chunks:
+            packed = b"".join(
+                pack_image(img).ljust(layout.image_bytes, b"\0") for img in chunk
+            )
+            blocks.append(
+                np.frombuffer(packed.ljust(layout.images_bytes, b"\0"), dtype=np.uint8)
+            )
+        view.scatter("images", blocks)
+        view.scatter(
+            "meta", [np.array([len(c), 0], dtype=np.uint32) for c in chunks]
+        )
+        return view, [len(c) for c in chunks]
+
+    def classify(self, dpu, count: int) -> list[int]:
+        """Labels of the first ``count`` images whose features ``dpu`` holds."""
+        layout = self.layout
+        cfg = self.model.config
+        labels = []
+        for i in range(count):
+            raw = dpu.read_symbol(
+                "results",
+                layout.result_bytes_per_image,
+                offset=i * layout.result_bytes_per_image,
+            )
+            bits = unpack_bits(raw, cfg.feature_count)
+            features = bits.reshape(cfg.filters, cfg.pooled_out, cfg.pooled_out)
+            label, _ = self.model.classify_features(features)
+            labels.append(int(label))
+        return labels
+
+
 @dataclass
 class EbnnRunResult:
     """Outcome of one batched eBNN inference on the PIM system."""
@@ -251,41 +355,16 @@ class EbnnRunResult:
 
 
 class EbnnPimRunner:
-    """Host orchestration of the multi-image-per-DPU eBNN scheme."""
+    """Offline eBNN batches: allocate, run :class:`EbnnExecutor` waves.
 
-    #: Host-side FC+softmax time per image (a Xeon-class constant; the
-    #: host overlaps this with nothing in the thesis's serial read-out).
-    HOST_SECONDS_PER_IMAGE = 2.0e-6
+    Keyword options (``use_lut``, ``images_per_dpu``, ``n_tasklets``,
+    ``opt_level``) are the executor's.
+    """
 
-    def __init__(
-        self,
-        system: DpuSystem,
-        model: EbnnModel,
-        *,
-        use_lut: bool = True,
-        images_per_dpu: int = IMAGES_PER_DPU,
-        n_tasklets: int = EBNN_TASKLETS,
-        opt_level: OptLevel = OptLevel.O3,
-    ) -> None:
-        if images_per_dpu < 1:
-            raise MappingError(
-                f"images_per_dpu must be >= 1, got {images_per_dpu}"
-            )
+    def __init__(self, system: DpuSystem, model: EbnnModel, **options) -> None:
         self.system = system
         self.model = model
-        self.use_lut = use_lut
-        self.n_tasklets = n_tasklets
-        self.opt_level = opt_level
-        self.layout = EbnnDpuLayout(model.config, images_per_dpu)
-        staged = images_per_dpu * self.layout.image_bytes
-        if staged > 2048:
-            raise MappingError(
-                f"{images_per_dpu} images need {staged} bytes of staging; "
-                f"the DMA transfer cap is 2048 (Section 4.1.3)"
-            )
-        self.lut = (
-            create_lut(model.bn, *model.config.conv_range) if use_lut else None
-        )
+        self.executor = EbnnExecutor(model, **options)
 
     def run(self, images: np.ndarray) -> EbnnRunResult:
         """Classify a (n, H, W) batch through the PIM system.
@@ -297,7 +376,7 @@ class EbnnPimRunner:
         n_images = images.shape[0]
         if n_images < 1:
             raise MappingError("empty image batch")
-        per_dpu = self.layout.images_per_dpu
+        per_dpu = self.executor.layout.images_per_dpu
         n_dpus = self.system.dpus_needed_for(n_images, per_dpu)
         wave_capacity = n_dpus * per_dpu
 
@@ -306,12 +385,13 @@ class EbnnPimRunner:
             category="pipeline",
             n_images=n_images,
             n_dpus=n_dpus,
-            use_lut=self.use_lut,
+            use_lut=self.executor.use_lut,
         ):
             dpu_set = self.system.allocate(n_dpus)
             try:
+                self.executor.warm(dpu_set)
                 waves = [
-                    self._run_on(dpu_set, images[start : start + wave_capacity])
+                    self._run_wave(dpu_set, images[start : start + wave_capacity])
                     for start in range(0, n_images, wave_capacity)
                 ]
             finally:
@@ -345,73 +425,34 @@ class EbnnPimRunner:
             host_seconds=sum(w.host_seconds for w in waves),
         )
 
-    def _run_on(self, dpu_set, images: np.ndarray) -> EbnnRunResult:
-        with telemetry.span("ebnn.wave", category="pipeline",
-                            n_images=images.shape[0]):
-            return self._run_wave(dpu_set, images)
-
     def _run_wave(self, dpu_set, images: np.ndarray) -> EbnnRunResult:
-        layout = self.layout
+        executor = self.executor
         n_images = images.shape[0]
-        per_dpu = layout.images_per_dpu
-        dpu_set.load(layout.build_image())
-
-        # Distribute packed image blocks and per-DPU counts.
-        blocks: list[bytes] = []
-        counts: list[int] = []
-        for d in range(len(dpu_set)):
-            chunk = images[d * per_dpu : (d + 1) * per_dpu]
-            packed = b"".join(
-                pack_image(img).ljust(layout.image_bytes, b"\0") for img in chunk
+        with telemetry.span("ebnn.wave", category="pipeline", n_images=n_images):
+            view, counts = executor.stage(
+                dpu_set.dpus, self.system.attributes, images
             )
-            blocks.append(packed.ljust(layout.images_bytes, b"\0"))
-            counts.append(len(chunk))
-        dpu_set.scatter("images", [np.frombuffer(b, dtype=np.uint8) for b in blocks])
-        dpu_set.scatter(
-            "meta",
-            [np.array([c, 0], dtype=np.uint32) for c in counts],
-        )
-        if self.use_lut:
-            lut_raw = self.lut.to_bytes().ljust(layout.lut_bytes, b"\0")
-            dpu_set.broadcast("lut", np.frombuffer(lut_raw, dtype=np.uint8))
+            report = view.launch(**executor.launch_args)
 
-        report = dpu_set.launch(
-            n_tasklets=self.n_tasklets,
-            opt_level=self.opt_level,
-            model=self.model,
-            layout=layout,
-            use_lut=self.use_lut,
-        )
-
-        # Serial host read-out and classification (Section 4.1.3's flow).
-        host_seconds = self.HOST_SECONDS_PER_IMAGE * n_images
-        with telemetry.span(
-            "ebnn.host_classify", n_images=n_images,
-            host_seconds=host_seconds,
-        ):
-            predictions = np.zeros(n_images, dtype=np.int64)
-            profile = SubroutineProfile()
-            for d, dpu in enumerate(dpu_set):
-                # A DPU isolated by the fault policy has no result for
-                # this launch; its (restored, pre-launch) results symbol
-                # still classifies, just from zeroed features.
-                if dpu.last_result is not None:
-                    profile = profile.merged_with(dpu.last_result.profile)
-                for i in range(counts[d]):
-                    raw = dpu.read_symbol(
-                        "results",
-                        layout.result_bytes_per_image,
-                        offset=i * layout.result_bytes_per_image,
-                    )
-                    bits = unpack_bits(raw, self.model.config.feature_count)
-                    cfg = self.model.config
-                    features = bits.reshape(cfg.filters, cfg.pooled_out, cfg.pooled_out)
-                    label, _ = self.model.classify_features(features)
-                    predictions[d * per_dpu + i] = label
-            telemetry.advance_sim(host_seconds)
+            # Serial host read-out and classification (Section 4.1.3's flow).
+            host_seconds = executor.HOST_SECONDS_PER_IMAGE * n_images
+            with telemetry.span(
+                "ebnn.host_classify", n_images=n_images,
+                host_seconds=host_seconds,
+            ):
+                labels: list[int] = []
+                profile = SubroutineProfile()
+                for dpu, count in zip(view, counts):
+                    # A DPU isolated by the fault policy has no result for
+                    # this launch; its (restored, pre-launch) results symbol
+                    # still classifies, just from stale features.
+                    if dpu.last_result is not None:
+                        profile = profile.merged_with(dpu.last_result.profile)
+                    labels += executor.classify(dpu, count)
+                telemetry.advance_sim(host_seconds)
 
         return EbnnRunResult(
-            predictions=predictions,
+            predictions=np.array(labels, dtype=np.int64),
             dpu_report=report,
             n_dpus=len(dpu_set),
             n_images=n_images,

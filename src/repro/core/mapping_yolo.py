@@ -16,7 +16,9 @@ Scheme summary (Section 4.2.3, Fig. 4.6):
 
 Like the eBNN mapping, one cost recipe (:func:`charge_gemm_row_costs`)
 backs both the functional kernel and the closed-form layer/network
-estimators used by the Fig. 4.7 sweeps.
+estimators used by the Fig. 4.7 sweeps, and one executor
+(:class:`YoloExecutor`) runs the GEMMs for both the offline
+:class:`YoloPimRunner` and the serving ``YoloBackend``.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ from repro.dpu.costs import Operation, OptLevel, Precision, mram_access_cycles
 from repro.dpu.device import DpuImage
 from repro.dpu.kernel import GLOBAL_KERNELS, KernelContext
 from repro.dpu.memory import Mram, Wram
-from repro.errors import MappingError
+from repro.errors import DegradedLaunchError, MappingError
 from repro.host.alignment import align_up
-from repro.host.runtime import DpuSystem
+from repro.host.runtime import DpuSet, DpuSystem, LaunchReport
 from repro.host.transfer import scatter_rows
 from repro.nn.gemm import GemmShape, gemm_row
 from repro.nn.models.darknet import Yolov3Model
@@ -273,44 +275,85 @@ def yolo_network_timing(
     return timing
 
 
-class YoloPimRunner:
-    """Functional end-to-end YOLOv3 inference through the PIM system.
+class YoloExecutor:
+    """The Fig. 4.6 GEMM-row path, shared by offline and serving.
 
-    Intended for reduced-scale networks (tests/examples): every conv
-    layer's GEMM is quantized to int16, its rows distributed over DPUs via
-    the Fig. 4.6 scheme, executed by the row kernel, gathered, and
-    dequantized before the host applies BN and activation.
+    Quantizes each layer's weights once, widens the accumulator divisor,
+    stages each layer once on the first ``min(M, len(members))`` DPUs
+    (one program load, one broadcast of B and of the metadata), then
+    runs the rows in waves: scatter A rows, launch, gather C rows.
     """
 
     def __init__(
         self,
-        system: DpuSystem,
         model: Yolov3Model,
         *,
         n_tasklets: int = YOLO_TASKLETS,
         opt_level: OptLevel = OptLevel.O3,
         alpha: int = 1,
     ) -> None:
-        self.system = system
         self.model = model
         self.n_tasklets = n_tasklets
         self.opt_level = opt_level
         self.alpha = alpha
-        self.layer_reports: list[YoloLayerTiming] = []
+        self._weights: dict[int, tuple[np.ndarray, QuantParams]] = {}
+        self._images: dict[int, DpuImage] = {}
 
-    def run(self, image: np.ndarray) -> list[np.ndarray]:
-        """Forward the image; returns the YOLO head outputs."""
-        self.layer_reports = []
-        return self.model.forward(image, conv_fn=self._pim_gemm)
+    def warm(self) -> None:
+        """Quantize every layer's weights now, in forward()'s RNG order.
 
-    def timing(self) -> YoloNetworkTiming:
-        return YoloNetworkTiming(layers=list(self.layer_reports))
+        The model's lazy weights draw from one sequential RNG, so they
+        materialize in forward()'s access order (weights, then that
+        layer's BN): a warmed model equals a fresh model that simply ran
+        forward.
+        """
+        for plan in self.model.plans:
+            self._quantized_weights(
+                plan,
+                self.model.conv_weights(plan).reshape(plan.gemm.m, plan.gemm.k),
+            )
+            if plan.spec.batch_normalize:
+                self.model.conv_bn(plan)
 
-    def _pim_gemm(self, plan, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def _quantized_weights(self, plan, a: np.ndarray):
+        cached = self._weights.get(plan.layer_index)
+        if cached is None:
+            params = QuantParams.from_tensor(a, bits=8)
+            cached = (params.quantize(a).astype(np.int16), params)
+            self._weights[plan.layer_index] = cached
+        return cached
+
+    def forward(self, image, members, attributes, fault_policy=None):
+        """One image end to end on ``members``: (outputs, wave reports).
+
+        A degraded wave raises :class:`DegradedLaunchError` whose
+        ``reports`` cover every wave launched for the image.
+        """
+        reports = []
+
+        def conv_fn(plan, a, b):
+            try:
+                c, layer = self.gemm(plan, a, b, members, attributes, fault_policy)
+            except DegradedLaunchError as failure:
+                failure.reports[:0] = reports
+                raise
+            reports.extend(layer)
+            return c
+
+        outputs = self.model.forward(
+            np.asarray(image, dtype=np.float32), conv_fn=conv_fn
+        )
+        return outputs, reports
+
+    def gemm(self, plan, a, b, members, attributes, fault_policy=None):
+        """One layer's ``C = A x B`` on ``members``: (C, wave reports).
+
+        A wave that ends degraded raises :class:`DegradedLaunchError`
+        naming its failed DPUs and carrying the layer's reports so far.
+        """
         shape = plan.gemm
-        a_params = QuantParams.from_tensor(a, bits=8)
+        a_q, a_params = self._quantized_weights(plan, a)
         b_params = QuantParams.from_tensor(b, bits=8)
-        a_q = a_params.quantize(a).astype(np.int16)
         b_q = b_params.quantize(b).astype(np.int16)
 
         # Algorithm 2 divides the accumulator by 32 before the int16 clamp;
@@ -325,8 +368,95 @@ class YoloPimRunner:
         while bound * self.alpha // divisor > 32767:
             divisor *= 2
 
-        n_dpus = min(shape.m, self.system.n_dpus)
         layout = YoloDpuLayout(shape)
+        image = self._images.setdefault(
+            plan.layer_index,
+            layout.build_image(f"yolo_layer_{plan.layer_index}"),
+        )
+        n_dpus = min(shape.m, len(members))
+        staged = DpuSet(list(members[:n_dpus]), attributes)
+        staged.load(image)
+        staged.broadcast(
+            "b", np.ascontiguousarray(b_q.reshape(-1), dtype=np.int16)
+        )
+        staged.broadcast(
+            "meta",
+            np.array(
+                [shape.m, shape.n, shape.k, self.alpha, divisor, 0],
+                dtype=np.int32,
+            ),
+        )
+        c_rows = np.zeros((shape.m, shape.n), dtype=np.int32)
+        reports: list[LaunchReport] = []
+        for start in range(0, shape.m, n_dpus):
+            rows = range(start, min(start + n_dpus, shape.m))
+            wave = DpuSet(staged.dpus[: len(rows)], attributes)
+            wave.image = image
+            scatter_rows(
+                wave.dpus,
+                "a_row",
+                [np.ascontiguousarray(a_q[r], dtype=np.int16) for r in rows],
+            )
+            try:
+                # workers=1: single-row waves are too small for the process
+                # fan-out; on a 2-CPU host, 64-DPU waves fanned out took
+                # about 5x longer per image than serial launches.
+                report = wave.launch(
+                    n_tasklets=self.n_tasklets,
+                    opt_level=self.opt_level,
+                    workers=1,
+                    fault_policy=fault_policy,
+                    layout=layout,
+                )
+            except DegradedLaunchError as failure:  # every DPU failed
+                failure.reports[:0] = reports
+                raise
+            reports.append(report)
+            if report.degraded:
+                failed = sorted(o.dpu_id for o in report.failed)
+                raise DegradedLaunchError(
+                    f"layer {plan.layer_index}: wave at row {start} lost "
+                    f"DPUs {failed}",
+                    failed,
+                    reports,
+                )
+            for dpu, row_index in zip(wave, rows):
+                c_rows[row_index] = dpu.read_symbol_array(
+                    "c_row", np.int32, shape.n
+                )
+
+        # Host-side dequantization: undo quantization scales and divisor.
+        scale = a_params.scale * b_params.scale * divisor / self.alpha
+        return c_rows.astype(np.float32) * np.float32(scale), reports
+
+
+class YoloPimRunner:
+    """Functional end-to-end YOLOv3 inference through the PIM system.
+
+    Intended for reduced-scale networks (tests/examples): each conv
+    layer's GEMM runs through :class:`YoloExecutor` (whose keyword
+    options ``n_tasklets``, ``opt_level`` and ``alpha`` the runner takes)
+    on a freshly allocated set, and the host applies BN and activation.
+    """
+
+    def __init__(self, system: DpuSystem, model: Yolov3Model, **options) -> None:
+        self.system = system
+        self.model = model
+        self.executor = YoloExecutor(model, **options)
+        self.layer_reports: list[YoloLayerTiming] = []
+
+    def run(self, image: np.ndarray) -> list[np.ndarray]:
+        """Forward the image; returns the YOLO head outputs."""
+        self.layer_reports = []
+        return self.model.forward(image, conv_fn=self._pim_gemm)
+
+    def timing(self) -> YoloNetworkTiming:
+        return YoloNetworkTiming(layers=list(self.layer_reports))
+
+    def _pim_gemm(self, plan, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        shape = plan.gemm
+        attributes = self.system.attributes
+        n_dpus = min(shape.m, self.system.n_dpus)
         with telemetry.span(
             "yolo.layer",
             category="pipeline",
@@ -336,73 +466,26 @@ class YoloPimRunner:
             k=shape.k,
             n_dpus=n_dpus,
         ) as layer_span:
-            c_rows, cycles = self._run_layer(
-                plan, layout, a_q, b_q, shape, n_dpus, divisor
-            )
-            layer_span.set(
-                cycles=cycles,
-                seconds=self.system.attributes.cycles_to_seconds(cycles),
-                policy=AccumulatorPolicy.for_shape(shape).value,
-            )
-
-        # Host-side dequantization: undo quantization scales and divisor.
-        scale = a_params.scale * b_params.scale * divisor / self.alpha
-        return c_rows.astype(np.float32) * np.float32(scale)
-
-    def _run_layer(
-        self, plan, layout, a_q, b_q, shape, n_dpus, divisor
-    ) -> tuple[np.ndarray, float]:
-        dpu_set = self.system.allocate(n_dpus)
-        try:
-            dpu_set.load(layout.build_image(f"yolo_layer_{plan.layer_index}"))
-            dpu_set.broadcast(
-                "b", np.ascontiguousarray(b_q.reshape(-1), dtype=np.int16)
-            )
-            dpu_set.broadcast(
-                "meta",
-                np.array(
-                    [shape.m, shape.n, shape.k, self.alpha, divisor, 0],
-                    dtype=np.int32,
-                ),
-            )
-            c_rows = np.zeros((shape.m, shape.n), dtype=np.int32)
+            dpu_set = self.system.allocate(n_dpus)
+            try:
+                c, reports = self.executor.gemm(
+                    plan, a, b, dpu_set.dpus, attributes
+                )
+            finally:
+                self.system.free(dpu_set)
             cycles = 0.0
-            for start in range(0, shape.m, n_dpus):
-                rows = list(range(start, min(start + n_dpus, shape.m)))
-                wave = [dpu_set[i] for i in range(len(rows))]
-                batch_rows = [
-                    np.ascontiguousarray(a_q[r], dtype=np.int16) for r in rows
-                ]
-                scatter_rows(wave, "a_row", batch_rows)
-                wave_cycles = 0.0
-                for dpu in wave:
-                    result = dpu.launch(
-                        n_tasklets=self.n_tasklets,
-                        opt_level=self.opt_level,
-                        layout=layout,
-                    )
-                    wave_cycles = max(wave_cycles, float(result.cycles))
-                cycles += wave_cycles
-                # Row-DPUs of a wave ran in parallel on the simulated clock;
-                # the layer advances by the slowest row.
-                telemetry.advance_sim(
-                    self.system.attributes.cycles_to_seconds(wave_cycles)
-                )
-                for dpu, row_index in zip(wave, rows):
-                    c_rows[row_index] = dpu.read_symbol_array(
-                        "c_row", np.int32, shape.n
-                    )
-            policy = AccumulatorPolicy.for_shape(shape)
-            self.layer_reports.append(
-                YoloLayerTiming(
-                    layer_index=plan.layer_index,
-                    shape=shape,
-                    n_dpus=n_dpus,
-                    cycles=cycles,
-                    seconds=self.system.attributes.cycles_to_seconds(cycles),
-                    policy=policy,
-                )
+            for report in reports:
+                cycles += report.cycles
+            timing = YoloLayerTiming(
+                layer_index=plan.layer_index,
+                shape=shape,
+                n_dpus=n_dpus,
+                cycles=cycles,
+                seconds=attributes.cycles_to_seconds(cycles),
+                policy=AccumulatorPolicy.for_shape(shape),
             )
-        finally:
-            self.system.free(dpu_set)
-        return c_rows, cycles
+            self.layer_reports.append(timing)
+            layer_span.set(
+                cycles=cycles, seconds=timing.seconds, policy=timing.policy.value
+            )
+        return c

@@ -60,6 +60,20 @@ class LaunchError(HostError):
     """A DPU launch failed (no program loaded, bad tasklet count, fault)."""
 
 
+class DegradedLaunchError(LaunchError):
+    """A launch ended with failed DPUs, so its results are incomplete.
+
+    ``failed_dpu_ids`` names the DPUs whose results are missing;
+    ``reports`` holds the launch reports of the work done up to and
+    including the failed launch, so callers can still account its time.
+    """
+
+    def __init__(self, message: str, failed_dpu_ids, reports=()) -> None:
+        super().__init__(message)
+        self.failed_dpu_ids = set(failed_dpu_ids)
+        self.reports = list(reports)
+
+
 class ModelError(ReproError):
     """Invalid parameters passed to the analytical PIM performance model."""
 

@@ -212,62 +212,106 @@ def _copy_memory_state(state: DpuMemoryState) -> DpuMemoryState:
     )
 
 
-def _run_order(task: ChunkTask, order: DpuWorkOrder) -> DpuLaunchOutcome:
-    """Run one DPU of a chunk under the task's fault policy."""
-    policy = task.fault_policy
+def run_attempts(
+    index: int,
+    dpu: Dpu,
+    *,
+    n_tasklets: int,
+    opt_level: OptLevel,
+    kernel_params: dict,
+    policy: str,
+    max_retries: int,
+) -> DpuLaunchOutcome:
+    """Launch one DPU under a fault policy: the one per-DPU retry loop.
+
+    Serial tolerant launches run it on the live DPU and workers on their
+    reconstructed copy.  A failed attempt rolls memory and DMA counters
+    back to the pre-launch snapshot and restarts write tracking, so a
+    retry runs from pristine state and a delta exported after it holds
+    no page that only the failed attempt touched.  A DPU that exhausts
+    its attempts is left in its pre-launch state, which the outcome also
+    carries for the parent to restore.  Under ``"raise"`` nothing is
+    snapshotted and the error propagates.
+    """
+    tolerant = policy != "raise"
     # Tolerant policies must be able to roll a failed attempt back to the
     # DPU's pre-launch state; 'raise' skips the copy on the hot path.
-    pristine = _copy_memory_state(order.memory) if policy != "raise" else None
+    pristine = (
+        _copy_memory_state(dpu.export_memory_state()) if tolerant else None
+    )
+    dma_before = (
+        dpu.dma.total_cycles, dpu.dma.total_bytes, dpu.dma.transfer_count
+    )
     attempt = 0
     while True:
-        dpu = Dpu(order.dpu_id, task.attributes)
-        dpu.apply_memory_state(
-            order.memory if attempt == 0 else _copy_memory_state(pristine)
-        )
-        dpu.load(task.image)
-        # Track writes from here: a retry re-applies pristine memory above,
-        # so rolled-back pages from the failed attempt are not shipped.
         dpu.reset_memory_dirty()
         try:
             result = dpu.launch(
-                n_tasklets=task.n_tasklets,
-                opt_level=task.opt_level,
+                n_tasklets=n_tasklets,
+                opt_level=opt_level,
                 fault_attempt=attempt,
-                **task.kernel_params,
+                **kernel_params,
             )
         except DpuError as exc:
-            if policy == "retry" and attempt < task.max_retries:
+            if not tolerant:
+                raise
+            dpu.apply_memory_state(_copy_memory_state(pristine))
+            (
+                dpu.dma.total_cycles,
+                dpu.dma.total_bytes,
+                dpu.dma.transfer_count,
+            ) = dma_before
+            if policy == "retry" and attempt < max_retries:
                 attempt += 1
                 continue
-            if policy == "raise":
-                raise LaunchError(
-                    f"DPU {order.dpu_id} (set index {order.index}, chunk "
-                    f"{task.chunk_index}) failed: {type(exc).__name__}: {exc}"
-                ) from exc
+            dpu.last_result = None
             return DpuLaunchOutcome(
-                index=order.index,
+                index=index,
                 memory=pristine,
                 result=None,
-                dpu_id=order.dpu_id,
+                dpu_id=dpu.dpu_id,
                 status="hung" if isinstance(exc, DpuHangError) else "faulted",
                 attempts=attempt + 1,
                 error=str(exc),
                 error_type=type(exc).__name__,
             )
-        # The fresh DPU's DMA engine started at zero, so its totals ARE
-        # this launch's deltas; the parent accumulates them.
         return DpuLaunchOutcome(
-            index=order.index,
+            index=index,
             memory=None,
-            delta=dpu.export_memory_delta(),
             result=result,
-            dma_cycles=dpu.dma.total_cycles,
-            dma_bytes=dpu.dma.total_bytes,
-            dma_transfers=dpu.dma.transfer_count,
-            dpu_id=order.dpu_id,
-            status="ok",
+            dpu_id=dpu.dpu_id,
             attempts=attempt + 1,
         )
+
+
+def _run_order(task: ChunkTask, order: DpuWorkOrder) -> DpuLaunchOutcome:
+    """Run one DPU of a chunk under the task's fault policy."""
+    dpu = Dpu(order.dpu_id, task.attributes)
+    dpu.apply_memory_state(order.memory)
+    dpu.load(task.image)
+    try:
+        outcome = run_attempts(
+            order.index,
+            dpu,
+            n_tasklets=task.n_tasklets,
+            opt_level=task.opt_level,
+            kernel_params=task.kernel_params,
+            policy=task.fault_policy,
+            max_retries=task.max_retries,
+        )
+    except DpuError as exc:
+        raise LaunchError(
+            f"DPU {order.dpu_id} (set index {order.index}, chunk "
+            f"{task.chunk_index}) failed: {type(exc).__name__}: {exc}"
+        ) from exc
+    if outcome.ok:
+        # The fresh DPU's DMA engine started at zero, so its totals ARE
+        # this launch's deltas; the parent accumulates them.
+        outcome.delta = dpu.export_memory_delta()
+        outcome.dma_cycles = dpu.dma.total_cycles
+        outcome.dma_bytes = dpu.dma.total_bytes
+        outcome.dma_transfers = dpu.dma.transfer_count
+    return outcome
 
 
 #: Exit code of a deliberately killed worker (fault injection).

@@ -32,7 +32,7 @@ from repro.dpu.device import Dpu, DpuImage
 from repro.host import parallel
 from repro.host import transfer as xfer
 from repro.host.topology import SystemTopology
-from repro.errors import AllocationError, DpuError, DpuHangError, LaunchError
+from repro.errors import AllocationError, DegradedLaunchError, LaunchError
 
 _M_ALLOCATIONS = telemetry.GLOBAL_METRICS.counter(
     "dpu.allocations", "DpuSystem.allocate calls"
@@ -213,6 +213,9 @@ class DpuSet:
         * ``"retry"`` — re-run each failed DPU from its pre-launch state
           up to ``max_retries`` extra attempts, then isolate.
 
+        Serial and parallel launches share one per-DPU attempt/restore
+        loop, :func:`repro.host.parallel.run_attempts`.
+
         ``None`` defers to the installed fault plan's ``default_policy``
         (``"raise"`` when injection is off).
         """
@@ -352,7 +355,7 @@ class DpuSet:
                 per_dpu.append(float(result.cycles))
         else:
             outcomes = [
-                self._execute_tolerant(
+                parallel.run_attempts(
                     index, dpu,
                     n_tasklets=n_tasklets, opt_level=opt_level,
                     kernel_params=kernel_params,
@@ -364,10 +367,11 @@ class DpuSet:
         if outcomes is not None:
             if not any(o.ok for o in outcomes):
                 first = outcomes[0]
-                raise LaunchError(
+                raise DegradedLaunchError(
                     f"all {len(outcomes)} DPUs of the launch failed under "
                     f"fault_policy={fault_policy!r}; first failure: DPU "
-                    f"{first.dpu_id}: {first.error_type}: {first.error}"
+                    f"{first.dpu_id}: {first.error_type}: {first.error}",
+                    [o.dpu_id for o in outcomes],
                 )
             per_dpu = [
                 float(o.result.cycles) if o.ok else 0.0 for o in outcomes
@@ -397,70 +401,6 @@ class DpuSet:
         if report.degraded:
             _M_LAUNCH_DEGRADED.inc()
         return report
-
-    def _execute_tolerant(
-        self,
-        index: int,
-        dpu: Dpu,
-        *,
-        n_tasklets: int,
-        opt_level: OptLevel,
-        kernel_params: dict,
-        policy: str,
-        max_retries: int,
-    ) -> parallel.DpuLaunchOutcome:
-        """Serial counterpart of the worker's per-DPU retry loop.
-
-        Mirrors :func:`repro.host.parallel._run_order` on the live DPU:
-        a failed attempt rolls memory and DMA counters back to the
-        pre-launch snapshot, so a retried launch — and the final state
-        after an isolated failure — is bit-identical to what the
-        parallel engine produces.
-        """
-        pristine = parallel._copy_memory_state(dpu.export_memory_state())
-        dma_before = (
-            dpu.dma.total_cycles, dpu.dma.total_bytes, dpu.dma.transfer_count
-        )
-        attempt = 0
-        while True:
-            try:
-                result = dpu.launch(
-                    n_tasklets=n_tasklets, opt_level=opt_level,
-                    fault_attempt=attempt, **kernel_params,
-                )
-            except DpuError as exc:
-                dpu.apply_memory_state(
-                    parallel._copy_memory_state(pristine)
-                )
-                (
-                    dpu.dma.total_cycles,
-                    dpu.dma.total_bytes,
-                    dpu.dma.transfer_count,
-                ) = dma_before
-                if policy == "retry" and attempt < max_retries:
-                    attempt += 1
-                    continue
-                dpu.last_result = None
-                return parallel.DpuLaunchOutcome(
-                    index=index,
-                    memory=None,
-                    result=None,
-                    dpu_id=dpu.dpu_id,
-                    status=(
-                        "hung" if isinstance(exc, DpuHangError) else "faulted"
-                    ),
-                    attempts=attempt + 1,
-                    error=str(exc),
-                    error_type=type(exc).__name__,
-                )
-            return parallel.DpuLaunchOutcome(
-                index=index,
-                memory=None,
-                result=result,
-                dpu_id=dpu.dpu_id,
-                status="ok",
-                attempts=attempt + 1,
-            )
 
 
 class AsyncLaunch:

@@ -1,20 +1,24 @@
-"""Warm DPU-set pool and the per-model-class execution backends.
+"""Warm DPU-set pool and the per-model-class serving backends.
 
 The pool owns the hardware side of serving: at construction it allocates
 one group of DPUs per model class, *warms* it (program image loaded,
 LUTs/weights staged — the expensive one-time work), and afterwards leases
-the healthy members out per batch.  Routing follows the paper's two
-operation-mapping schemes:
+the healthy members out per batch.  The backends are thin adapters over
+the offline executors in :mod:`repro.core`, so a served output is the
+offline output by construction:
 
-* **eBNN** requests run *multi-image-per-DPU* (Section 4.1.3): a batch is
-  packed 16 images to a DPU and one set-wide launch finishes the whole
-  batch in the time of one DPU.
-* **YOLO** requests run *multi-DPU-per-image* (Section 4.2.3, Fig. 4.6):
-  each request's layer GEMMs are sharded one row of A per DPU, so a
-  request occupies the whole lease and requests of a batch execute
-  back-to-back on warm hardware.
+* **eBNN** (:class:`~repro.core.mapping_ebnn.EbnnExecutor`, Section
+  4.1.3): a batch is packed 16 images to a DPU and one set-wide launch
+  finishes each wave in the time of one DPU.
+* **YOLO** (:class:`~repro.core.mapping_yolo.YoloExecutor`, Section
+  4.2.3, Fig. 4.6): each request's layer GEMMs are sharded one row of A
+  per DPU, so a request occupies the whole lease and requests of a batch
+  execute back-to-back on warm hardware.
 
-Fault isolation composes with PR 3's launch machinery: batches launch
+What stays here is serving's own logic: leases, asynchronous launch with
+deadline shedding, and fault quarantine.
+
+Fault isolation composes with the fault-tolerant launches: batches launch
 under the server's ``fault_policy``, a degraded
 :class:`~repro.host.runtime.LaunchReport` names the dead DPUs, and the
 pool **quarantines** them (shrinking the lease) and **heals** by
@@ -32,19 +36,14 @@ from typing import Any
 import numpy as np
 
 from repro import telemetry
-from repro.core.mapping_ebnn import (
-    EBNN_TASKLETS,
-    EbnnDpuLayout,
-    IMAGES_PER_DPU,
-)
-from repro.core.mapping_yolo import YOLO_TASKLETS, YoloDpuLayout
-from repro.dpu.costs import OptLevel
-from repro.errors import AllocationError, LaunchError, ServeError
+from repro.core.mapping_ebnn import EbnnExecutor
+from repro.core.mapping_yolo import YoloExecutor
+from repro.errors import AllocationError, DegradedLaunchError, ServeError
 from repro.host.runtime import DpuSet, DpuSystem
-from repro.nn.binary import pack_image, unpack_bits
+# Importable from here as before (the traced benchmark wraps these names).
+from repro.nn.binary import pack_image, unpack_bits  # noqa: F401
 from repro.nn.models.darknet import Yolov3Model
 from repro.nn.models.ebnn import EbnnModel
-from repro.nn.quantize import QuantParams
 from repro.serve.request import InferenceRequest
 
 _M_POOL_ACTIVE = telemetry.GLOBAL_METRICS.gauge(
@@ -77,14 +76,6 @@ class BatchExecution:
     failed_dpu_ids: set[int] = field(default_factory=set)
 
 
-class _RequestFailed(Exception):
-    """Internal: a YOLO request hit a degraded wave; carries dead DPUs."""
-
-    def __init__(self, failed_dpu_ids: set[int]) -> None:
-        super().__init__(f"degraded wave, DPUs {sorted(failed_dpu_ids)}")
-        self.failed_dpu_ids = failed_dpu_ids
-
-
 class ModelBackend:
     """One model class's warm-up and batch-execution recipe."""
 
@@ -108,48 +99,23 @@ class ModelBackend:
 
 
 class EbnnBackend(ModelBackend):
-    """Multi-image-per-DPU eBNN serving (Section 4.1.3's scheme, online).
+    """Multi-image-per-DPU eBNN serving over :class:`EbnnExecutor`.
 
-    Warm-up loads the conv-pool kernel image and broadcasts the
-    Algorithm 1 LUT once; each batch then only scatters packed images and
-    per-DPU counts, launches set-wide, and classifies the returned binary
-    features on the host — identical math to the offline
-    :class:`~repro.core.mapping_ebnn.EbnnPimRunner`, so outputs are
-    bit-identical however the batcher grouped the requests.
+    Warm-up is the executor's: kernel image loaded, Algorithm 1 LUT
+    broadcast.  Per batch the backend stages each wave through the
+    executor, launches it asynchronously so a hopeless wave can be shed,
+    and classifies only the DPUs that survived the fault policy.
+    Keyword options are the executor's.
     """
 
     name = "ebnn"
 
-    #: Host-side FC+softmax time per image (EbnnPimRunner's constant).
-    HOST_SECONDS_PER_IMAGE = 2.0e-6
-
-    def __init__(
-        self,
-        model: EbnnModel | None = None,
-        *,
-        use_lut: bool = True,
-        images_per_dpu: int = IMAGES_PER_DPU,
-        n_tasklets: int = EBNN_TASKLETS,
-        opt_level: OptLevel = OptLevel.O3,
-    ) -> None:
-        from repro.core.lut import create_lut
-
+    def __init__(self, model: EbnnModel | None = None, **options) -> None:
         self.model = model if model is not None else EbnnModel()
-        self.use_lut = use_lut
-        self.n_tasklets = n_tasklets
-        self.opt_level = opt_level
-        self.layout = EbnnDpuLayout(self.model.config, images_per_dpu)
-        self.image = self.layout.build_image("serve_ebnn")
-        self.lut = (
-            create_lut(self.model.bn, *self.model.config.conv_range)
-            if use_lut else None
-        )
+        self.executor = EbnnExecutor(self.model, **options)
 
     def warm(self, dpu_set: DpuSet) -> None:
-        dpu_set.load(self.image)
-        if self.use_lut:
-            lut_raw = self.lut.to_bytes().ljust(self.layout.lut_bytes, b"\0")
-            dpu_set.broadcast("lut", np.frombuffer(lut_raw, dtype=np.uint8))
+        self.executor.warm(dpu_set)
 
     def run_batch(
         self,
@@ -159,167 +125,83 @@ class EbnnBackend(ModelBackend):
         now: float,
         fault_policy: str | None,
     ) -> BatchExecution:
-        layout = self.layout
-        per_dpu = layout.images_per_dpu
+        executor = self.executor
+        per_dpu = executor.layout.images_per_dpu
         capacity = len(members) * per_dpu
         execution = BatchExecution()
-        for start in range(0, len(requests), capacity):
-            wave = requests[start : start + capacity]
-            self._run_wave(
-                members, attributes, wave, now + execution.seconds,
-                fault_policy, execution,
+        for first in range(0, len(requests), capacity):
+            wave = requests[first : first + capacity]
+            view, counts = executor.stage(
+                members, attributes, [np.asarray(r.payload) for r in wave]
             )
-        return execution
-
-    def _run_wave(
-        self, members, attributes, wave, now, fault_policy, execution
-    ) -> None:
-        layout = self.layout
-        per_dpu = layout.images_per_dpu
-        # Only as many DPUs as the wave needs, each with >= 1 image.
-        n_active = min(len(members), -(-len(wave) // per_dpu))
-        view = DpuSet(list(members[:n_active]), attributes)
-        view.image = self.image  # loaded at warm time; no reload needed
-
-        chunks = [wave[d * per_dpu : (d + 1) * per_dpu] for d in range(n_active)]
-        blocks = []
-        for chunk in chunks:
-            packed = b"".join(
-                pack_image(np.asarray(r.payload)).ljust(
-                    layout.image_bytes, b"\0"
+            try:
+                handle = view.launch_async(
+                    fault_policy=fault_policy, **executor.launch_args
                 )
-                for r in chunk
-            )
-            blocks.append(
-                np.frombuffer(
-                    packed.ljust(layout.images_bytes, b"\0"), dtype=np.uint8
-                )
-            )
-        view.scatter("images", blocks)
-        view.scatter(
-            "meta",
-            [np.array([len(c), 0], dtype=np.uint32) for c in chunks],
-        )
-
-        try:
-            handle = view.launch_async(
-                n_tasklets=self.n_tasklets,
-                opt_level=self.opt_level,
-                fault_policy=fault_policy,
-                model=self.model,
-                layout=layout,
-                use_lut=self.use_lut,
-            )
-        except LaunchError:
-            # Under a tolerant policy this is the all-DPUs-failed case:
-            # nothing survived, so the whole wave goes to the retry path.
-            execution.failed.extend(wave)
-            execution.failed_dpu_ids.update(d.dpu_id for d in view)
-            return
-
-        # Deadline shedding: when every request of the wave would finish
-        # past its deadline, the work is worthless — abandon the launch
-        # and roll the DPUs back instead of charging simulated time.
-        host_seconds = self.HOST_SECONDS_PER_IMAGE * len(wave)
-        completion = now + handle.pending_seconds + host_seconds
-        if wave and all(
-            r.deadline_s is not None and completion > r.deadline_s
-            for r in wave
-        ):
-            handle.cancel()
-            execution.shed.extend(wave)
-            return
-
-        report = handle.wait()
-        ok_indices = (
-            {o.index for o in report.outcomes if o.ok}
-            if report.outcomes else set(range(n_active))
-        )
-        n_classified = 0
-        for d, dpu in enumerate(view):
-            if d not in ok_indices:
-                execution.failed.extend(chunks[d])
-                execution.failed_dpu_ids.add(dpu.dpu_id)
+            except DegradedLaunchError as failure:
+                # Every DPU failed: the whole wave goes to the retry path.
+                execution.failed.extend(wave)
+                execution.failed_dpu_ids.update(failure.failed_dpu_ids)
                 continue
-            for i, request in enumerate(chunks[d]):
-                raw = dpu.read_symbol(
-                    "results",
-                    layout.result_bytes_per_image,
-                    offset=i * layout.result_bytes_per_image,
-                )
-                bits = unpack_bits(raw, self.model.config.feature_count)
-                cfg = self.model.config
-                features = bits.reshape(
-                    cfg.filters, cfg.pooled_out, cfg.pooled_out
-                )
-                label, _ = self.model.classify_features(features)
-                execution.outputs[request.request_id] = int(label)
-                n_classified += 1
-        host_seconds = self.HOST_SECONDS_PER_IMAGE * n_classified
-        telemetry.advance_sim(host_seconds)
-        execution.seconds += report.seconds + host_seconds
+
+            # Deadline shedding: when every request of the wave would
+            # finish past its deadline, the work is worthless — abandon
+            # the launch and roll the DPUs back instead of charging
+            # simulated time.
+            host_seconds = executor.HOST_SECONDS_PER_IMAGE * len(wave)
+            completion = (
+                now + execution.seconds + handle.pending_seconds + host_seconds
+            )
+            if all(
+                r.deadline_s is not None and completion > r.deadline_s
+                for r in wave
+            ):
+                handle.cancel()
+                execution.shed.extend(wave)
+                continue
+
+            report = handle.wait()
+            failed = {o.index for o in report.failed}
+            n_classified = 0
+            for d, (dpu, count) in enumerate(zip(view, counts)):
+                chunk = wave[d * per_dpu : d * per_dpu + count]
+                if d in failed:
+                    execution.failed.extend(chunk)
+                    execution.failed_dpu_ids.add(dpu.dpu_id)
+                    continue
+                labels = executor.classify(dpu, count)
+                for request, label in zip(chunk, labels):
+                    execution.outputs[request.request_id] = label
+                n_classified += count
+            host_seconds = executor.HOST_SECONDS_PER_IMAGE * n_classified
+            telemetry.advance_sim(host_seconds)
+            execution.seconds += report.seconds + host_seconds
+        return execution
 
 
 class YoloBackend(ModelBackend):
-    """Multi-DPU-per-image YOLO serving (the Fig. 4.6 GEMM-row scheme).
+    """Multi-DPU-per-image YOLO serving over :class:`YoloExecutor`.
 
-    Warm-up quantizes every conv layer's weight matrix once (the
-    "preloaded weights" of the pool); per request, each layer's GEMM is
-    sharded one row of A per leased DPU and executed set-wide, so a
-    degraded launch isolates cleanly to the requests that were in flight.
-    Quantization parameters depend only on the request's own activations
-    and the warm weights, so outputs are bit-identical to running the
-    request alone.
+    Warm-up quantizes every conv layer's weights once (the "preloaded
+    weights" of the pool); each request then runs the executor's
+    forward on the healthy members, so a degraded wave fails only the
+    request in flight and shrinks the members the rest of the batch
+    runs on.  Keyword options are the executor's.
     """
 
     name = "yolo"
 
-    def __init__(
-        self,
-        model: Yolov3Model | None = None,
-        *,
-        n_tasklets: int = YOLO_TASKLETS,
-        opt_level: OptLevel = OptLevel.O3,
-        alpha: int = 1,
-    ) -> None:
+    def __init__(self, model: Yolov3Model | None = None, **options) -> None:
         self.model = (
             model if model is not None
             else Yolov3Model(64, width_scale=0.05, seed=21)
         )
-        self.n_tasklets = n_tasklets
-        self.opt_level = opt_level
-        self.alpha = alpha
-        self._weights: dict[int, tuple[np.ndarray, QuantParams]] = {}
-        self._images: dict[int, Any] = {}
+        self.executor = YoloExecutor(self.model, **options)
 
     def warm(self, dpu_set: DpuSet) -> None:
-        # The warm work is host-side: quantized per-layer weights, ready
-        # to scatter.  Per-layer program images load at batch time (each
-        # layer's GEMM shape is its own image).  The model's lazy weights
-        # draw from one sequential RNG, so materialize them in exactly
-        # forward()'s access order (weights, then that layer's BN) — a
-        # warmed model must equal a fresh model that simply ran forward.
-        for plan in self.model.plans:
-            a = self.model.conv_weights(plan).reshape(
-                plan.gemm.m, plan.gemm.k
-            )
-            if plan.spec.batch_normalize:
-                self.model.conv_bn(plan)
-            if plan.layer_index in self._weights:
-                continue
-            params = QuantParams.from_tensor(a, bits=8)
-            self._weights[plan.layer_index] = (
-                params.quantize(a).astype(np.int16), params
-            )
-
-    def _layer_image(self, plan):
-        image = self._images.get(plan.layer_index)
-        if image is None:
-            image = YoloDpuLayout(plan.gemm).build_image(
-                f"serve_yolo_layer_{plan.layer_index}"
-            )
-            self._images[plan.layer_index] = image
-        return image
+        # Host-side only: per-layer program images load per request,
+        # because each layer's GEMM shape is its own image.
+        self.executor.warm()
 
     def run_batch(
         self,
@@ -335,85 +217,26 @@ class YoloBackend(ModelBackend):
             if not active:
                 execution.failed.append(request)
                 continue
-            seconds_box = [0.0]
             try:
-                detections = self.model.forward(
-                    np.asarray(request.payload, dtype=np.float32),
-                    conv_fn=lambda plan, a, b: self._pim_gemm(
-                        plan, a, b, active, attributes,
-                        fault_policy, seconds_box,
-                    ),
+                detections, reports = self.executor.forward(
+                    request.payload, active, attributes, fault_policy
                 )
-            except _RequestFailed as failure:
+            except DegradedLaunchError as failure:
                 execution.failed.append(request)
                 execution.failed_dpu_ids.update(failure.failed_dpu_ids)
                 active = [
                     d for d in active
                     if d.dpu_id not in failure.failed_dpu_ids
                 ]
+                reports = failure.reports
             else:
                 execution.outputs[request.request_id] = detections
             # Simulated time spent on the waves, completed or aborted.
-            execution.seconds += seconds_box[0]
+            seconds = 0.0
+            for report in reports:
+                seconds += report.seconds
+            execution.seconds += seconds
         return execution
-
-    def _pim_gemm(
-        self, plan, a, b, active, attributes, fault_policy, seconds_box
-    ) -> np.ndarray:
-        shape = plan.gemm
-        a_q, a_params = self._weights[plan.layer_index]
-        b_params = QuantParams.from_tensor(b, bits=8)
-        b_q = b_params.quantize(b).astype(np.int16)
-
-        # Same divisor-widening calibration as the offline YoloPimRunner:
-        # grow past 32 until the worst-case accumulator fits int16.
-        bound = int(np.abs(a_q.astype(np.int64)).sum(axis=1).max()) * int(
-            np.abs(b_q).max() or 1
-        )
-        divisor = 32
-        while bound * self.alpha // divisor > 32767:
-            divisor *= 2
-
-        layout = YoloDpuLayout(shape)
-        image = self._layer_image(plan)
-        n_dpus = min(shape.m, len(active))
-        b_flat = np.ascontiguousarray(b_q.reshape(-1), dtype=np.int16)
-        meta = np.array(
-            [shape.m, shape.n, shape.k, self.alpha, divisor, 0],
-            dtype=np.int32,
-        )
-        c_rows = np.zeros((shape.m, shape.n), dtype=np.int32)
-        for start in range(0, shape.m, n_dpus):
-            rows = list(range(start, min(start + n_dpus, shape.m)))
-            view = DpuSet(list(active[: len(rows)]), attributes)
-            view.load(image)
-            view.broadcast("b", b_flat)
-            view.broadcast("meta", meta)
-            view.scatter(
-                "a_row",
-                [np.ascontiguousarray(a_q[r], dtype=np.int16) for r in rows],
-            )
-            try:
-                report = view.launch(
-                    n_tasklets=self.n_tasklets,
-                    opt_level=self.opt_level,
-                    fault_policy=fault_policy,
-                    layout=layout,
-                )
-            except LaunchError:
-                seconds_box[0] += 0.0
-                raise _RequestFailed({d.dpu_id for d in view}) from None
-            seconds_box[0] += report.seconds
-            if report.outcomes and any(not o.ok for o in report.outcomes):
-                raise _RequestFailed(
-                    {o.dpu_id for o in report.outcomes if not o.ok}
-                )
-            for dpu, row_index in zip(view, rows):
-                c_rows[row_index] = dpu.read_symbol_array(
-                    "c_row", np.int32, shape.n
-                )
-        scale = a_params.scale * b_params.scale * divisor / self.alpha
-        return c_rows.astype(np.float32) * np.float32(scale)
 
 
 @dataclass

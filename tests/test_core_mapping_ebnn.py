@@ -180,3 +180,16 @@ class TestValidation:
     def test_paper_constants(self):
         assert IMAGES_PER_DPU == 16
         assert EBNN_TASKLETS == 16
+
+
+class TestPartialWave:
+    def test_last_wave_launches_only_dpus_with_images(self, model):
+        """100 images on 4 DPUs: the second wave leaves one DPU empty."""
+        system = DpuSystem(UPMEM_ATTRIBUTES.scaled(4))
+        batch = generate_batch(100, seed=18).normalized()
+        result = EbnnPimRunner(system, model).run(batch)
+        assert result.n_images == 100
+        assert np.array_equal(result.predictions, model.predict_batch(batch))
+        # Each wave's slowest DPU holds a full 16-image block.
+        assert result.dpu_report.cycles == 2 * ebnn_dpu_cycles(model.config)
+        assert system.n_free == 4

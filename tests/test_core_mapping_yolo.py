@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import faults, telemetry
 from repro.core.mapping_yolo import (
     CTMP_WRAM_BUDGET_BYTES,
     AccumulatorPolicy,
@@ -11,8 +12,10 @@ from repro.core.mapping_yolo import (
     gemm_layer_cycles,
     yolo_network_timing,
 )
+from repro.datasets.images import generate_scene
 from repro.dpu.attributes import UPMEM_ATTRIBUTES
 from repro.dpu.costs import OptLevel
+from repro.errors import LaunchError
 from repro.host.runtime import DpuSystem
 from repro.nn.gemm import GemmShape, gemm_fast
 from repro.nn.models.darknet import Yolov3Model
@@ -192,3 +195,49 @@ class TestLayout:
         c_row = dpu.read_symbol_array("c_row", np.int32, 8)
         expected = gemm_fast(1, a_row.reshape(1, -1), b)[0]
         assert np.array_equal(c_row, expected)
+
+
+class TestRunnerUnderFaults:
+    """Offline YOLO launches follow the installed fault plan."""
+
+    MODEL_ARGS = dict(input_size=64, width_scale=0.05, seed=21)
+
+    def _run(self, plan=None):
+        runner = YoloPimRunner(
+            DpuSystem(UPMEM_ATTRIBUTES.scaled(4)),
+            Yolov3Model(**self.MODEL_ARGS),
+        )
+        scene = generate_scene(64, seed=5)
+        if plan is None:
+            return runner.run(scene), runner
+        with faults.fault_injection(plan):
+            return runner.run(scene), runner
+
+    def test_retry_recovers_bit_identical(self):
+        clean, clean_runner = self._run()
+        plan = faults.FaultPlan(
+            targets={1: faults.FaultKind.FAULT},
+            target_attempts=1,
+            default_policy="retry",
+        )
+        before = telemetry.GLOBAL_METRICS.snapshot()
+        retried, runner = self._run(plan)
+        delta = telemetry.GLOBAL_METRICS.delta_since(before)
+        assert delta["launch.retries"]["state"] > 0  # DPU 1 did fault
+        assert all(
+            r.dtype == c.dtype and np.array_equal(r, c)
+            for r, c in zip(retried, clean)
+        )
+        assert [l.cycles for l in runner.timing().layers] == [
+            l.cycles for l in clean_runner.timing().layers
+        ]
+
+    def test_isolate_raises_naming_the_dpu(self):
+        plan = faults.FaultPlan(
+            targets={1: faults.FaultKind.FAULT},
+            target_attempts=99,
+            default_policy="isolate",
+        )
+        with pytest.raises(LaunchError, match=r"DPUs \[1\]") as info:
+            self._run(plan)
+        assert info.value.failed_dpu_ids == {1}

@@ -1,15 +1,23 @@
 """Tests for the warm DPU pool: lease, quarantine, heal, shutdown."""
 
+import numpy as np
 import pytest
 
 from repro import faults
+from repro.core.mapping_ebnn import EbnnPimRunner
+from repro.core.mapping_yolo import YoloPimRunner
+from repro.datasets import generate_batch
+from repro.datasets.images import generate_scene
 from repro.dpu.attributes import UPMEM_ATTRIBUTES
 from repro.errors import AllocationError, ServeError
 from repro.host.runtime import DpuSystem
+from repro.nn.models.darknet import Yolov3Model
+from repro.nn.models.ebnn import EbnnModel
 from repro.serve import (
     BatchPolicy,
     DpuPool,
     EbnnBackend,
+    InferenceRequest,
     InferenceServer,
     LoadSpec,
     YoloBackend,
@@ -137,3 +145,49 @@ class TestShrinkMidLoad:
         assert sum(after.values()) < sum(before.values())
         assert all(n >= 1 for n in after.values())
         assert len(result.completed) + len(result.rejected) == len(requests)
+
+
+class TestOfflineEqualsServed:
+    """Backends and offline runners share one executor per model."""
+
+    @staticmethod
+    def _serve(backend, requests):
+        pool = DpuPool(
+            DpuSystem(UPMEM_ATTRIBUTES.scaled(4)), [backend], dpus_per_model=4
+        )
+        members, attributes = pool.lease(backend.name)
+        return backend.run_batch(members, attributes, requests, 0.0, None)
+
+    def test_ebnn_batch_matches_runner(self):
+        model = EbnnModel()
+        images = generate_batch(48, seed=19).normalized()
+        offline = EbnnPimRunner(
+            DpuSystem(UPMEM_ATTRIBUTES.scaled(4)), model
+        ).run(images)
+        requests = [
+            InferenceRequest(i, "ebnn", image) for i, image in enumerate(images)
+        ]
+        execution = self._serve(EbnnBackend(model), requests)
+        labels = [execution.outputs[i] for i in range(len(images))]
+        assert labels == offline.predictions.tolist()
+        assert execution.seconds == offline.total_seconds
+
+    def test_yolo_request_matches_runner(self):
+        scene = generate_scene(64)
+        runner = YoloPimRunner(
+            DpuSystem(UPMEM_ATTRIBUTES.scaled(4)),
+            Yolov3Model(64, width_scale=0.05, seed=21),
+        )
+        offline = runner.run(scene)
+        execution = self._serve(
+            YoloBackend(), [InferenceRequest(0, "yolo", scene)]
+        )
+        served = execution.outputs[0]
+        assert len(served) == len(offline)
+        assert all(
+            s.dtype == o.dtype and np.array_equal(s, o)
+            for s, o in zip(served, offline)
+        )
+        assert execution.seconds == pytest.approx(
+            runner.timing().total_seconds, rel=1e-12
+        )
