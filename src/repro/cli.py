@@ -119,16 +119,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_load_arguments(serve_parser)
     serve_parser.add_argument(
-        "--max-batch", type=int, default=None, metavar="N",
-        help="batcher flush size (default: REPRO_SERVE_MAX_BATCH or 16)",
+        "--max-batch", type=int, default=16, metavar="N",
+        help="batcher flush size (default: %(default)s)",
     )
     serve_parser.add_argument(
-        "--max-delay-ms", type=float, default=None, metavar="MS",
-        help="batcher flush delay (default: REPRO_SERVE_MAX_DELAY_MS or 2)",
+        "--max-delay-ms", type=float, default=2.0, metavar="MS",
+        help="batcher flush delay (default: %(default)s)",
     )
     serve_parser.add_argument(
-        "--queue-cap", type=int, default=None, metavar="N",
-        help="per-model queue bound (default: REPRO_SERVE_QUEUE_CAP or 64)",
+        "--queue-cap", type=int, default=64, metavar="N",
+        help="per-model queue bound (default: %(default)s)",
     )
     serve_parser.add_argument(
         "--system-dpus", type=int, default=16, metavar="N",
@@ -313,11 +313,9 @@ def _serve(args) -> int:
 
     spec, payloads = _load_spec(args)
     requests = generate_load(spec, payloads)
-    policy = BatchPolicy.from_env(
+    policy = BatchPolicy(
         max_batch=args.max_batch,
-        max_delay_s=(
-            args.max_delay_ms / 1e3 if args.max_delay_ms is not None else None
-        ),
+        max_delay_s=args.max_delay_ms / 1e3,
         queue_cap=args.queue_cap,
     )
     backends = {"ebnn": EbnnBackend(), "yolo": YoloBackend()}

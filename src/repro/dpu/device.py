@@ -103,11 +103,9 @@ class DpuImage:
 class DpuMemoryState:
     """Picklable snapshot of a DPU's mutable memory: MRAM pages + WRAM.
 
-    This is the unit the parallel launch engine ships across process
-    boundaries: the parent exports each DPU's state into the worker, and
-    the worker exports the mutated state back.  The arrays are shared with
-    the owning DPU (pickling copies them anyway); callers that need an
-    in-process copy must copy explicitly.
+    This is the unit the parallel launch engine ships into a worker
+    process, which rebuilds the DPU from it.  The arrays are shared with
+    the owning DPU (pickling copies them anyway).
     """
 
     mram_pages: dict[int, np.ndarray]
@@ -129,6 +127,15 @@ class DpuMemoryDelta:
     mram_pages: dict[int, np.ndarray]
     wram_lo: int
     wram_data: np.ndarray | None
+
+
+@dataclass
+class DpuCheckpoint:
+    """A DPU's saved memories and DMA counters (see :meth:`Dpu.checkpoint`)."""
+
+    mram_pages: dict[int, np.ndarray]
+    wram: np.ndarray
+    dma: tuple[int, int, int]
 
 
 class Dpu:
@@ -256,15 +263,13 @@ class Dpu:
         """Merge a shipped delta into this DPU's memories.
 
         Unlike :meth:`apply_memory_state` this *copies into* the existing
-        buffers rather than adopting new ones, so repeated application
-        (e.g. after an in-parent rerun whose delta aliases the live
-        buffers) is an idempotent overwrite.
+        buffers rather than adopting new ones.
         """
         for index, page in delta.mram_pages.items():
             live = self.mram._pages.get(index)
             if live is None:
                 self.mram._pages[index] = np.array(page, dtype=np.uint8)
-            elif live is not page:
+            else:
                 live[:] = page
         if delta.wram_data is not None:
             lo = delta.wram_lo
@@ -274,14 +279,36 @@ class Dpu:
                     f"shipped WRAM delta [{lo}, {hi}) does not fit this "
                     f"DPU's {self.wram.size}-byte WRAM"
                 )
-            target = self.wram._data[lo:hi]
-            source = delta.wram_data
-            if (
-                target.__array_interface__["data"]
-                != source.__array_interface__["data"]
-            ):
-                target[:] = source
-            self.wram._mark_dirty(lo, source.size)
+            self.wram._data[lo:hi] = delta.wram_data
+            self.wram._mark_dirty(lo, delta.wram_data.size)
+
+    # ------------------------------------------------------------------ #
+    # rollback
+    # ------------------------------------------------------------------ #
+
+    def checkpoint(self) -> DpuCheckpoint:
+        """Save the memories and DMA counters for a later :meth:`restore`."""
+        dma = self.dma
+        return DpuCheckpoint(
+            mram_pages={
+                index: page.copy() for index, page in self.mram._pages.items()
+            },
+            wram=self.wram._data.copy(),
+            dma=(dma.total_cycles, dma.total_bytes, dma.transfer_count),
+        )
+
+    def restore(self, checkpoint: DpuCheckpoint) -> None:
+        """Return to a :meth:`checkpoint` and clear ``last_result``.
+
+        The checkpoint is copied, not adopted, so it can be restored again.
+        """
+        self.mram._pages = {
+            index: page.copy() for index, page in checkpoint.mram_pages.items()
+        }
+        self.wram._data = checkpoint.wram.copy()
+        dma = self.dma
+        dma.total_cycles, dma.total_bytes, dma.transfer_count = checkpoint.dma
+        self.last_result = None
 
     # ------------------------------------------------------------------ #
     # launch

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.dpu.assembler import assemble
+from repro.dpu.attributes import UPMEM_ATTRIBUTES
 from repro.dpu.interpreter import ExecutionResult, run_program
 from repro.dpu.isa import Program
 from repro.dpu.memory import Wram
@@ -276,6 +277,27 @@ def mram_copy_program(
     return assemble(source, name="mram_copy")
 
 
+def _mul_const(rd: str, rs: str, value: int, scratch: str) -> str:
+    """``rd = rs * value`` for ``rs`` below 256, lowered onto ``mul8``.
+
+    A constant that fits the 8x8 multiplier takes one ``mul8``; a wider
+    one takes one ``mul8`` per byte of the constant, shifted into place
+    and summed — the partial products the toolchain builds wide
+    multiplies from.  ``scratch`` is clobbered.
+    """
+    lines = [f"li   {rd}, {value & 0xFF}", f"mul8 {rd}, {rs}, {rd}"]
+    shift = 8
+    while value >> shift:
+        lines += [
+            f"li   {scratch}, {(value >> shift) & 0xFF}",
+            f"mul8 {scratch}, {rs}, {scratch}",
+            f"lsli {scratch}, {scratch}, {shift}",
+            f"add  {rd}, {rd}, {scratch}",
+        ]
+        shift += 8
+    return "\n".join(" " * 12 + line for line in lines)
+
+
 def binary_conv_program(image_size: int, n_filters: int) -> SampleProgram:
     """The eBNN binary convolution, written in actual DPU assembly.
 
@@ -283,7 +305,9 @@ def binary_conv_program(image_size: int, n_filters: int) -> SampleProgram:
     correlation over a {0,1}-bit image: ``out = 2 * matches - 9``, the
     XNOR-popcount identity.  WRAM layout: image bits (one int32 word per
     pixel) at 0; per-filter weight bits at ``4 * image_size**2``; outputs
-    at ``OUTPUT_BASE``, ``(image_size - 2)**2`` words per filter.
+    at ``OUTPUT_BASE``, ``(image_size - 2)**2`` words per filter.  Shapes
+    whose weights reach ``OUTPUT_BASE`` or whose outputs run past the end
+    of WRAM are rejected.
 
     Exists to cross-validate the Python kernel's cost model against
     instruction-level execution (see the integration tests).
@@ -295,6 +319,17 @@ def binary_conv_program(image_size: int, n_filters: int) -> SampleProgram:
     out_side = image_size - 2
     weight_base = 4 * image_size * image_size
     out_words_per_filter = out_side * out_side
+    if weight_base + 36 * n_filters > OUTPUT_BASE:
+        raise DpuError(
+            f"{image_size}x{image_size} image and {n_filters} filters "
+            f"reach the output region at {OUTPUT_BASE}"
+        )
+    out_bytes = 4 * n_filters * out_words_per_filter
+    if OUTPUT_BASE + out_bytes > UPMEM_ATTRIBUTES.wram_bytes:
+        raise DpuError(
+            f"{n_filters} filters of {out_side}x{out_side} outputs run "
+            f"past the end of WRAM"
+        )
     source = f"""
             tid  r1                      # filter index
             li   r2, {n_filters}
@@ -303,8 +338,7 @@ def binary_conv_program(image_size: int, n_filters: int) -> SampleProgram:
             mul8 r2, r1, r2
             li   r3, {weight_base}
             add  r2, r2, r3              # r2 = this filter's weight base
-            li   r3, {4 * out_words_per_filter}
-            mul8 r3, r1, r3
+{_mul_const("r3", "r1", 4 * out_words_per_filter, "r4")}
             li   r4, {OUTPUT_BASE}
             add  r3, r3, r4              # r3 = this filter's output base
             li   r6, 0                   # oy

@@ -13,8 +13,9 @@ interpreter/kernel executions across a ``ProcessPoolExecutor``:
   memory the run *wrote* (:class:`~repro.dpu.device.DpuMemoryDelta`:
   dirty MRAM pages plus the dirty WRAM span — O(touched), not
   O(memory)), the execution result, the DMA counter deltas, and a
-  metrics delta (:meth:`MetricsRegistry.delta_since`);
-* the parent adopts the memories, accumulates DMA counters, merges the
+  metrics delta (:meth:`MetricsRegistry.delta_since`); a failed DPU
+  ships nothing back, because the parent's copy was never touched;
+* the parent merges the deltas, accumulates DMA counters, merges the
   metrics delta into ``GLOBAL_METRICS``, and re-emits the per-DPU
   ``dpu.exec`` spans onto the active tracer — so telemetry from worker
   processes is never silently lost.
@@ -46,7 +47,7 @@ from repro import faults, telemetry
 from repro.dpu import interpreter as interp
 from repro.dpu.attributes import UpmemAttributes
 from repro.dpu.costs import OptLevel
-from repro.dpu.device import Dpu, DpuImage, DpuMemoryState
+from repro.dpu.device import Dpu, DpuImage, DpuMemoryDelta, DpuMemoryState
 from repro.dpu.kernel import GLOBAL_KERNELS
 from repro.errors import DpuError, DpuHangError, LaunchError
 
@@ -166,27 +167,12 @@ class ChunkTask:
 
 
 @dataclass
-class DpuLaunchOutcome:
-    """One DPU's outcome: status, mutated memories, timing, DMA deltas.
-
-    ``status`` is ``"ok"``, ``"faulted"`` (the program trapped), or
-    ``"hung"`` (straggler past the cycle deadline).  A successful DPU
-    ships a :class:`~repro.dpu.device.DpuMemoryDelta` — only the MRAM
-    pages and WRAM span the execution wrote — and leaves ``memory`` None.
-    A failed DPU under a tolerant policy ships ``result=None`` and its
-    full *pre-launch* memory, so the parent restores a known-good state
-    instead of adopting a half-executed one.
-    """
+class DpuOutcome:
+    """One DPU's fate within a set-wide launch."""
 
     index: int
-    memory: DpuMemoryState | None
-    result: Any  # ExecutionResult | KernelResult | None
-    delta: Any = None  # DpuMemoryDelta | None
-    dma_cycles: int = 0
-    dma_bytes: int = 0
-    dma_transfers: int = 0
-    dpu_id: int = 0
-    status: str = "ok"
+    dpu_id: int
+    status: str = "ok"  # "ok" | "faulted" | "hung"
     attempts: int = 1
     error: str | None = None
     error_type: str | None = None
@@ -197,19 +183,27 @@ class DpuLaunchOutcome:
 
 
 @dataclass
+class DpuLaunchOutcome:
+    """A worker's reply for one DPU: its outcome plus what the parent adopts.
+
+    A successful DPU ships its result, a
+    :class:`~repro.dpu.device.DpuMemoryDelta` (only the MRAM pages and
+    WRAM span the run wrote) and its DMA counter deltas.  A failed DPU
+    ships its outcome alone: the parent's copy was never touched.
+    """
+
+    outcome: DpuOutcome
+    result: Any = None  # ExecutionResult | KernelResult | None
+    delta: DpuMemoryDelta | None = None
+    dma: tuple[int, int, int] = (0, 0, 0)
+
+
+@dataclass
 class ChunkOutcome:
     """A worker's reply: per-DPU outcomes plus its metrics delta."""
 
     outcomes: list[DpuLaunchOutcome] = field(default_factory=list)
     metrics_delta: dict = field(default_factory=dict)
-
-
-def _copy_memory_state(state: DpuMemoryState) -> DpuMemoryState:
-    """Deep-copy a memory snapshot (apply/export share backing arrays)."""
-    return DpuMemoryState(
-        mram_pages={addr: page.copy() for addr, page in state.mram_pages.items()},
-        wram=state.wram.copy(),
-    )
 
 
 def run_attempts(
@@ -221,27 +215,20 @@ def run_attempts(
     kernel_params: dict,
     policy: str,
     max_retries: int,
-) -> DpuLaunchOutcome:
+) -> tuple[DpuOutcome, Any]:
     """Launch one DPU under a fault policy: the one per-DPU retry loop.
 
-    Serial tolerant launches run it on the live DPU and workers on their
-    reconstructed copy.  A failed attempt rolls memory and DMA counters
-    back to the pre-launch snapshot and restarts write tracking, so a
-    retry runs from pristine state and a delta exported after it holds
-    no page that only the failed attempt touched.  A DPU that exhausts
-    its attempts is left in its pre-launch state, which the outcome also
-    carries for the parent to restore.  Under ``"raise"`` nothing is
-    snapshotted and the error propagates.
+    Returns the DPU's outcome and its result (None when it failed).
+    Serial tolerant launches and dead-worker reruns run it on the live
+    DPU, workers on their reconstructed copy.  A failed attempt restores
+    the pre-launch checkpoint and restarts write tracking, so a retry
+    runs from pristine state and a delta exported after it holds no page
+    that only the failed attempt touched; a DPU that exhausts its
+    attempts is left at the checkpoint.  Under ``"raise"`` nothing is
+    checkpointed and the error propagates.
     """
     tolerant = policy != "raise"
-    # Tolerant policies must be able to roll a failed attempt back to the
-    # DPU's pre-launch state; 'raise' skips the copy on the hot path.
-    pristine = (
-        _copy_memory_state(dpu.export_memory_state()) if tolerant else None
-    )
-    dma_before = (
-        dpu.dma.total_cycles, dpu.dma.total_bytes, dpu.dma.transfer_count
-    )
+    saved = dpu.checkpoint() if tolerant else None
     attempt = 0
     while True:
         dpu.reset_memory_dirty()
@@ -255,33 +242,19 @@ def run_attempts(
         except DpuError as exc:
             if not tolerant:
                 raise
-            dpu.apply_memory_state(_copy_memory_state(pristine))
-            (
-                dpu.dma.total_cycles,
-                dpu.dma.total_bytes,
-                dpu.dma.transfer_count,
-            ) = dma_before
+            dpu.restore(saved)
             if policy == "retry" and attempt < max_retries:
                 attempt += 1
                 continue
-            dpu.last_result = None
-            return DpuLaunchOutcome(
+            return DpuOutcome(
                 index=index,
-                memory=pristine,
-                result=None,
                 dpu_id=dpu.dpu_id,
                 status="hung" if isinstance(exc, DpuHangError) else "faulted",
                 attempts=attempt + 1,
                 error=str(exc),
                 error_type=type(exc).__name__,
-            )
-        return DpuLaunchOutcome(
-            index=index,
-            memory=None,
-            result=result,
-            dpu_id=dpu.dpu_id,
-            attempts=attempt + 1,
-        )
+            ), None
+        return DpuOutcome(index, dpu.dpu_id, attempts=attempt + 1), result
 
 
 def _run_order(task: ChunkTask, order: DpuWorkOrder) -> DpuLaunchOutcome:
@@ -290,7 +263,7 @@ def _run_order(task: ChunkTask, order: DpuWorkOrder) -> DpuLaunchOutcome:
     dpu.apply_memory_state(order.memory)
     dpu.load(task.image)
     try:
-        outcome = run_attempts(
+        outcome, result = run_attempts(
             order.index,
             dpu,
             n_tasklets=task.n_tasklets,
@@ -304,73 +277,51 @@ def _run_order(task: ChunkTask, order: DpuWorkOrder) -> DpuLaunchOutcome:
             f"DPU {order.dpu_id} (set index {order.index}, chunk "
             f"{task.chunk_index}) failed: {type(exc).__name__}: {exc}"
         ) from exc
-    if outcome.ok:
-        # The fresh DPU's DMA engine started at zero, so its totals ARE
-        # this launch's deltas; the parent accumulates them.
-        outcome.delta = dpu.export_memory_delta()
-        outcome.dma_cycles = dpu.dma.total_cycles
-        outcome.dma_bytes = dpu.dma.total_bytes
-        outcome.dma_transfers = dpu.dma.transfer_count
-    return outcome
+    if not outcome.ok:
+        return DpuLaunchOutcome(outcome)
+    # The fresh DPU's DMA engine started at zero, so its totals ARE this
+    # launch's deltas; the parent accumulates them.
+    dma = dpu.dma
+    return DpuLaunchOutcome(
+        outcome,
+        result,
+        dpu.export_memory_delta(),
+        (dma.total_cycles, dma.total_bytes, dma.transfer_count),
+    )
 
 
 #: Exit code of a deliberately killed worker (fault injection).
 _KILL_EXIT = 87
 
 
-def _run_chunk(task: ChunkTask, in_worker: bool = True) -> ChunkOutcome:
-    """Worker entry point: run every DPU of one chunk to completion.
-
-    Also callable in the parent (``in_worker=False``) to re-run a chunk
-    whose worker died: there it skips worker-only setup (tracer/plan
-    install, kill injection) and returns an empty metrics delta, because
-    its metric increments already landed in the live parent registry.
-    """
-    if in_worker:
-        # Workers never own a tracer: a forked worker inherits the
-        # parent's tracer object, but spans recorded into that copy would
-        # be silently lost, so tracing is disabled here and the parent
-        # re-emits the per-DPU spans from the shipped results.
-        telemetry.uninstall_tracer()
-        # Run the interpreter flavor the parent was using: reused pool
-        # workers would otherwise keep whatever mode they forked with.
-        interp.set_mode(task.interp_mode)
-        # Pool processes are reused across launches; always reset to this
-        # task's plan (which may be None).
-        faults.install_plan(task.fault_plan)
-        plan = task.fault_plan
-        if (
-            plan is not None
-            and task.orders
-            and plan.kill_worker(task.chunk_index, task.orders[0].dpu_id)
-        ):
-            os._exit(_KILL_EXIT)
+def _run_chunk(task: ChunkTask) -> ChunkOutcome:
+    """Worker entry point: run every DPU of one chunk to completion."""
+    # Workers never own a tracer: a forked worker inherits the parent's
+    # tracer object, but spans recorded into that copy would be silently
+    # lost, so tracing is disabled here and the parent re-emits the
+    # per-DPU spans from the shipped results.
+    telemetry.uninstall_tracer()
+    # Run the interpreter flavor the parent was using: reused pool
+    # workers would otherwise keep whatever mode they forked with.
+    interp.set_mode(task.interp_mode)
+    # Pool processes are reused across launches; always reset to this
+    # task's plan (which may be None).
+    faults.install_plan(task.fault_plan)
+    plan = task.fault_plan
+    if (
+        plan is not None
+        and task.orders
+        and plan.kill_worker(task.chunk_index, task.orders[0].dpu_id)
+    ):
+        os._exit(_KILL_EXIT)
     if task.kernel_fn is not None and task.image.kernel_name not in GLOBAL_KERNELS:
         GLOBAL_KERNELS.register(task.image.kernel_name, task.kernel_fn)
-    before = telemetry.GLOBAL_METRICS.snapshot() if in_worker else None
+    before = telemetry.GLOBAL_METRICS.snapshot()
     outcomes = [_run_order(task, order) for order in task.orders]
     return ChunkOutcome(
         outcomes=outcomes,
-        metrics_delta=(
-            telemetry.GLOBAL_METRICS.delta_since(before) if in_worker else {}
-        ),
+        metrics_delta=telemetry.GLOBAL_METRICS.delta_since(before),
     )
-
-
-def _rerun_chunk_in_parent(task: ChunkTask) -> ChunkOutcome:
-    """Re-run a chunk whose worker died, in-process and tracer-quiet.
-
-    The tracer is detached for the duration so per-DPU spans are not
-    emitted twice (the caller re-emits spans for every outcome), and kill
-    injection does not fire (``in_worker=False``), so a chunk whose
-    worker the plan killed still completes deterministically.
-    """
-    tracer = telemetry.uninstall_tracer()
-    try:
-        return _run_chunk(task, in_worker=False)
-    finally:
-        if tracer is not None:
-            telemetry.install_tracer(tracer)
 
 
 # ---------------------------------------------------------------------- #
@@ -449,14 +400,15 @@ def launch_parallel(
     workers: int,
     fault_policy: str = "raise",
     max_retries: int = 0,
-) -> list[DpuLaunchOutcome]:
+) -> list[tuple[DpuOutcome, Any]]:
     """Run every DPU of ``dpu_set`` across ``workers`` processes.
 
-    Returns the per-DPU :class:`DpuLaunchOutcome` list in set order, with
-    each parent-side DPU updated in place (memories, DMA counters,
-    ``last_result``) exactly as serial execution would have left it.
-    Worker metric deltas are merged into ``GLOBAL_METRICS`` and per-DPU
-    spans re-emitted on the active tracer before returning.
+    Returns each DPU's outcome and result in set order, as
+    :func:`run_attempts` does, with each parent-side DPU updated in place
+    (memories, DMA counters, ``last_result``) exactly as serial execution
+    would have left it.  Worker metric deltas are merged into
+    ``GLOBAL_METRICS`` and per-DPU spans re-emitted on the active tracer
+    before returning.
 
     ``fault_policy`` governs partial failure:
 
@@ -466,7 +418,8 @@ def launch_parallel(
       ``BrokenProcessPool`` included) instead of a raw exception.
     * ``"isolate"`` / ``"retry"`` — failed DPUs are reported in their
       outcome, healthy DPUs always land; a chunk whose worker died is
-      re-run in the parent so its healthy members are not lost.
+      re-run serially on the parent's own DPUs, which no worker touched,
+      so its healthy members are not lost.
     """
     dpus = dpu_set.dpus
     image = dpu_set.image
@@ -551,36 +504,47 @@ def launch_parallel(
     failures.extend(submit_failures)
     if pool_broken:
         _discard_executor(workers)
+    runs: dict[int, tuple[DpuOutcome, Any]] = {}
     if fault_policy != "raise":
         # A crashed worker must not take its healthy DPUs with it: re-run
-        # each failed chunk in-process.  Kill injection only fires inside
-        # workers, so the rerun completes deterministically.
+        # each failed chunk with the serial tolerant loop.  The tracer is
+        # detached so per-DPU spans are not emitted twice (they are
+        # emitted below for every DPU), and kill injection only fires
+        # inside workers, so the rerun completes deterministically.
         for i, exc in failures:
             faults.record_worker_failure(tasks[i].chunk_index, exc)
-            chunk_outcomes[i] = _rerun_chunk_in_parent(tasks[i])
+            tracer = telemetry.uninstall_tracer()
+            try:
+                for index in chunks[i]:
+                    runs[index] = run_attempts(
+                        index,
+                        dpus[index],
+                        n_tasklets=n_tasklets,
+                        opt_level=opt_level,
+                        kernel_params=kernel_params,
+                        policy=fault_policy,
+                        max_retries=max_retries,
+                    )
+            finally:
+                if tracer is not None:
+                    telemetry.install_tracer(tracer)
 
     merged_chunks = 0
-    all_outcomes: dict[int, DpuLaunchOutcome] = {}
     for chunk_outcome in chunk_outcomes:
         if chunk_outcome is None:
             continue
         merged_chunks += 1
-        if chunk_outcome.metrics_delta:
-            telemetry.GLOBAL_METRICS.merge_delta(chunk_outcome.metrics_delta)
-        for outcome in chunk_outcome.outcomes:
+        telemetry.GLOBAL_METRICS.merge_delta(chunk_outcome.metrics_delta)
+        for reply in chunk_outcome.outcomes:
+            outcome = reply.outcome
             dpu = dpus[outcome.index]
-            if outcome.delta is not None:
-                dpu.apply_memory_delta(outcome.delta)
-            elif outcome.memory is not None:
-                dpu.apply_memory_state(outcome.memory)
             if outcome.ok:
-                dpu.dma.total_cycles += outcome.dma_cycles
-                dpu.dma.total_bytes += outcome.dma_bytes
-                dpu.dma.transfer_count += outcome.dma_transfers
-                dpu.last_result = outcome.result
-            else:
-                dpu.last_result = None
-            all_outcomes[outcome.index] = outcome
+                dpu.apply_memory_delta(reply.delta)
+                dpu.dma.total_cycles += reply.dma[0]
+                dpu.dma.total_bytes += reply.dma[1]
+                dpu.dma.transfer_count += reply.dma[2]
+            dpu.last_result = reply.result
+            runs[outcome.index] = (outcome, reply.result)
     if fault_policy == "raise" and failures:
         first_index, first_exc = failures[0]
         chunk = chunks[first_index]
@@ -594,12 +558,12 @@ def launch_parallel(
             f"{chunk.start}..{chunk.stop - 1}): {detail}; {merged_chunks} of "
             f"{len(tasks)} chunks completed and were merged"
         ) from first_exc
+    ordered = [runs[i] for i in range(len(dpus))]
     tracer = telemetry.current_tracer()
     if tracer is not None:
-        for index in range(len(dpus)):
-            outcome = all_outcomes[index]
+        for dpu, (outcome, result) in zip(dpus, ordered):
             if outcome.ok:
-                dpus[index]._record_exec_span(tracer, outcome.result, n_tasklets)
+                dpu._record_exec_span(tracer, result, n_tasklets)
             else:
                 tracer.add_span(
                     "dpu.fault",
@@ -612,4 +576,4 @@ def launch_parallel(
                 )
     _M_PARALLEL_LAUNCHES.inc()
     _M_PARALLEL_CHUNKS.inc(len(tasks))
-    return [all_outcomes[i] for i in range(len(dpus))]
+    return ordered

@@ -22,6 +22,7 @@ handle's seconds — N overlapping launches cost max, not sum.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from repro.dpu.costs import OptLevel
 from repro.dpu.device import Dpu, DpuImage
 from repro.host import parallel
 from repro.host import transfer as xfer
+from repro.host.parallel import DpuOutcome
 from repro.host.topology import SystemTopology
 from repro.errors import AllocationError, DegradedLaunchError, LaunchError
 
@@ -63,29 +65,15 @@ _M_LAUNCH_CANCELLED = telemetry.GLOBAL_METRICS.counter(
 
 
 @dataclass
-class DpuOutcome:
-    """One DPU's fate within a set-wide launch."""
-
-    index: int
-    dpu_id: int
-    status: str = "ok"  # "ok" | "faulted" | "hung"
-    attempts: int = 1
-    error: str | None = None
-    error_type: str | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "ok"
-
-
-@dataclass
 class LaunchReport:
     """Timing summary of one set-wide launch.
 
-    ``outcomes`` is populated whenever the launch ran under a fault plan
-    or a tolerant ``fault_policy``; it names every DPU's status, attempt
-    count, and error, so a degraded launch is never silent.  A failed
-    DPU contributes 0.0 to ``per_dpu_cycles``.
+    ``outcomes`` is populated by every parallel launch and every launch
+    under a tolerant ``fault_policy``; it names every DPU's status,
+    attempt count, and error, so a degraded launch is never silent.  A
+    serial ``"raise"`` launch leaves it empty, fault plan or not: a
+    failure there propagates instead.  A failed DPU contributes 0.0 to
+    ``per_dpu_cycles``.
     """
 
     cycles: float
@@ -244,25 +232,17 @@ class DpuSet:
         :meth:`launch`.
 
         The handle supports :meth:`AsyncLaunch.cancel`, which abandons the
-        launch and rolls every DPU back to its pre-launch memory and DMA
-        counters, so each DPU's pristine state is snapshotted here before
-        anything executes.
+        launch and restores the :meth:`~repro.dpu.device.Dpu.checkpoint`
+        each DPU takes here, before anything executes.
         """
         self._require_live("launch_async")
-        pristine = [
-            (
-                parallel._copy_memory_state(dpu.export_memory_state()),
-                (dpu.dma.total_cycles, dpu.dma.total_bytes,
-                 dpu.dma.transfer_count),
-            )
-            for dpu in self.dpus
-        ]
+        checkpoints = [dpu.checkpoint() for dpu in self.dpus]
         report = self._launch(
             n_tasklets, opt_level, kernel_params,
             workers=workers, advance_sim=False,
             fault_policy=fault_policy, max_retries=max_retries,
         )
-        return AsyncLaunch(report, dpu_set=self, pristine=pristine)
+        return AsyncLaunch(report, self, checkpoints)
 
     def _launch(
         self,
@@ -293,34 +273,28 @@ class DpuSet:
             raise LaunchError(f"max_retries must be >= 0, got {max_retries}")
         else:
             retries = max_retries
-        tracer = telemetry.current_tracer()
-        if tracer is None:
-            # Hot path: no span objects, no kwargs dicts beyond the call's own.
+        with telemetry.span(
+            "dpu.launch",
+            n_dpus=len(self.dpus),
+            n_tasklets=n_tasklets,
+            image=self.image.name,
+            opt_level=opt_level.name,
+            workers=n_workers,
+            asynchronous=not advance_sim,
+        ) as span:
             report = self._launch_now(n_tasklets, opt_level, kernel_params,
                                       n_workers, policy, retries)
-        else:
-            with tracer.span(
-                "dpu.launch",
-                n_dpus=len(self.dpus),
-                n_tasklets=n_tasklets,
-                image=self.image.name,
-                opt_level=opt_level.name,
-                workers=n_workers,
-                asynchronous=not advance_sim,
-            ) as span:
-                report = self._launch_now(n_tasklets, opt_level, kernel_params,
-                                          n_workers, policy, retries)
-                if advance_sim:
-                    # Every DPU ran in parallel on the simulated clock; the
-                    # set advances by its slowest member.  Async launches
-                    # advance at wait time instead.
-                    tracer.advance_sim(report.seconds)
-                span.set(
-                    cycles=report.cycles,
-                    seconds=report.seconds,
-                    slowest_dpu=self.dpus[report.slowest_dpu].dpu_id,
-                    degraded=report.degraded,
-                )
+            if advance_sim:
+                # Every DPU ran in parallel on the simulated clock; the
+                # set advances by its slowest member.  Async launches
+                # advance at wait time instead.
+                telemetry.advance_sim(report.seconds)
+            span.set(
+                cycles=report.cycles,
+                seconds=report.seconds,
+                slowest_dpu=self.dpus[report.slowest_dpu].dpu_id,
+                degraded=report.degraded,
+            )
         self.last_report = report
         return report
 
@@ -333,9 +307,9 @@ class DpuSet:
         fault_policy: str = "raise",
         max_retries: int = 0,
     ) -> LaunchReport:
-        outcomes: list[parallel.DpuLaunchOutcome] | None = None
+        runs: list[tuple[DpuOutcome, Any]] | None = None
         if workers > 1 and len(self.dpus) > 1:
-            outcomes = parallel.launch_parallel(
+            runs = parallel.launch_parallel(
                 self,
                 n_tasklets=n_tasklets,
                 opt_level=opt_level,
@@ -354,7 +328,7 @@ class DpuSet:
                 )
                 per_dpu.append(float(result.cycles))
         else:
-            outcomes = [
+            runs = [
                 parallel.run_attempts(
                     index, dpu,
                     n_tasklets=n_tasklets, opt_level=opt_level,
@@ -363,8 +337,9 @@ class DpuSet:
                 )
                 for index, dpu in enumerate(self.dpus)
             ]
-        dpu_outcomes: list[DpuOutcome] = []
-        if outcomes is not None:
+        outcomes: list[DpuOutcome] = []
+        if runs is not None:
+            outcomes = [outcome for outcome, _ in runs]
             if not any(o.ok for o in outcomes):
                 first = outcomes[0]
                 raise DegradedLaunchError(
@@ -374,15 +349,8 @@ class DpuSet:
                     [o.dpu_id for o in outcomes],
                 )
             per_dpu = [
-                float(o.result.cycles) if o.ok else 0.0 for o in outcomes
-            ]
-            dpu_outcomes = [
-                DpuOutcome(
-                    index=o.index, dpu_id=o.dpu_id, status=o.status,
-                    attempts=o.attempts, error=o.error,
-                    error_type=o.error_type,
-                )
-                for o in outcomes
+                float(result.cycles) if outcome.ok else 0.0
+                for outcome, result in runs
             ]
         cycles = max(per_dpu)
         report = LaunchReport(
@@ -392,7 +360,7 @@ class DpuSet:
             n_dpus=len(self.dpus),
             n_tasklets=n_tasklets,
             fault_policy=fault_policy,
-            outcomes=dpu_outcomes,
+            outcomes=outcomes,
         )
         _M_LAUNCHES.inc()
         _M_LAUNCH_SECONDS.observe(report.seconds)
@@ -420,15 +388,11 @@ class AsyncLaunch:
     """
 
     def __init__(
-        self,
-        report: LaunchReport,
-        *,
-        dpu_set: "DpuSet | None" = None,
-        pristine: list | None = None,
+        self, report: LaunchReport, dpu_set: DpuSet, checkpoints: list
     ) -> None:
         self._report = report
         self._dpu_set = dpu_set
-        self._pristine = pristine
+        self._checkpoints = checkpoints
         self.done = False
         self.cancelled = False
 
@@ -445,13 +409,13 @@ class AsyncLaunch:
     def cancel(self) -> None:
         """Abandon the in-flight launch and roll its effects back.
 
-        Every DPU of the set is restored to the pristine pre-launch
-        memory and DMA counters snapshotted at issue time (the same
-        restore path a tolerant fault policy uses for a failed attempt),
-        ``last_result`` is cleared, and the simulated cursor is never
-        advanced — as far as simulated time is concerned, the launch
-        never ran.  Cancelling twice is a no-op; cancelling after
-        :meth:`wait` raises, because the results were already observed.
+        Every DPU of the set is restored to the checkpoint taken at issue
+        time (the same restore a tolerant fault policy uses for a failed
+        attempt), which also clears ``last_result``, and the simulated
+        cursor is never advanced — as far as simulated time is concerned,
+        the launch never ran.  Cancelling twice is a no-op; cancelling
+        after :meth:`wait` raises, because the results were already
+        observed.
         """
         if self.done:
             raise LaunchError(
@@ -460,14 +424,8 @@ class AsyncLaunch:
             )
         if self.cancelled:
             return
-        for dpu, (memory, dma) in zip(self._dpu_set.dpus, self._pristine):
-            dpu.apply_memory_state(parallel._copy_memory_state(memory))
-            (
-                dpu.dma.total_cycles,
-                dpu.dma.total_bytes,
-                dpu.dma.transfer_count,
-            ) = dma
-            dpu.last_result = None
+        for dpu, checkpoint in zip(self._dpu_set.dpus, self._checkpoints):
+            dpu.restore(checkpoint)
         self._dpu_set.last_report = None
         self.cancelled = True
         _M_LAUNCH_CANCELLED.inc()

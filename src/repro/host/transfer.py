@@ -12,8 +12,8 @@ orchestration on:
 All transfers enforce the 8-byte size/offset rule of
 :mod:`repro.host.alignment`; callers move unaligned payloads by padding
 them and shipping the actual size separately, exactly as the paper
-describes.  The module keeps byte counters so experiments can report
-host-link traffic.
+describes.  Host-link traffic is counted once, in the ``transfer.bytes``
+(by direction), ``transfer.broadcasts`` and ``transfer.pushes`` metrics.
 """
 
 from __future__ import annotations
@@ -71,33 +71,12 @@ class XferDirection(enum.Enum):
     FROM_DPU = "from_dpu"
 
 
-@dataclass
-class TransferStats:
-    """Running totals of host-link traffic."""
-
-    bytes_to_dpus: int = 0
-    bytes_from_dpus: int = 0
-    broadcasts: int = 0
-    pushes: int = 0
-
-    def reset(self) -> None:
-        self.bytes_to_dpus = 0
-        self.bytes_from_dpus = 0
-        self.broadcasts = 0
-        self.pushes = 0
-
-
-#: Shared stats instance transfers account into by default.
-GLOBAL_TRANSFER_STATS = TransferStats()
-
-
 def copy_to(
     dpus: list[Dpu],
     symbol_name: str,
     data: bytes | np.ndarray,
     *,
     symbol_offset: int = 0,
-    stats: TransferStats | None = None,
 ) -> None:
     """``dpu_copy_to``: broadcast one buffer to a symbol on every DPU."""
     raw = _as_bytes(data)
@@ -110,10 +89,7 @@ def copy_to(
     for dpu in dpus:
         payload = raw if plan is None else plan.corrupt(raw, dpu_id=dpu.dpu_id)
         dpu.write_symbol(symbol_name, payload, symbol_offset)
-    stats = stats or GLOBAL_TRANSFER_STATS
     total = len(raw) * len(dpus)
-    stats.bytes_to_dpus += total
-    stats.broadcasts += 1
     _M_BYTES_TO_DPU.inc(total)
     _M_BROADCASTS.inc()
     _record_transfer("transfer.broadcast", "to_dpu", total, len(dpus))
@@ -125,7 +101,6 @@ def copy_from(
     n_bytes: int,
     *,
     symbol_offset: int = 0,
-    stats: TransferStats | None = None,
 ) -> bytes:
     """``dpu_copy_from``: read a symbol from one DPU."""
     validate_transfer(n_bytes, symbol_offset)
@@ -133,8 +108,6 @@ def copy_from(
     plan = faults.current_plan()
     if plan is not None:
         raw = plan.corrupt(raw, dpu_id=dpu.dpu_id)
-    stats = stats or GLOBAL_TRANSFER_STATS
-    stats.bytes_from_dpus += n_bytes
     _M_BYTES_FROM_DPU.inc(n_bytes)
     _record_transfer("transfer.read", "from_dpu", n_bytes, 1)
     return raw
@@ -173,7 +146,6 @@ class XferBatch:
         *,
         symbol_offset: int = 0,
         length: int | None = None,
-        stats: TransferStats | None = None,
     ) -> list[bytes] | None:
         """``dpu_push_xfer``: execute all prepared transfers.
 
@@ -203,7 +175,6 @@ class XferBatch:
                 )
             dpu.symbol(symbol_name).check_range(symbol_offset, length)
         plan = faults.current_plan()
-        stats = stats or GLOBAL_TRANSFER_STATS
         results: list[bytes] = []
         n_dpus = len(self._prepared)
         for dpu, buffer in self._prepared:
@@ -219,21 +190,15 @@ class XferBatch:
                 if isinstance(buffer, bytearray):
                     buffer[:length] = data
                 results.append(data)
-        # All-or-nothing accounting: stats and the metrics registry move
-        # together, and only once every member transfer has succeeded.
+        # All-or-nothing accounting: metrics move only once every member
+        # transfer has succeeded.
         total = length * n_dpus
         if direction is XferDirection.TO_DPU:
-            stats.bytes_to_dpus += total
             _M_BYTES_TO_DPU.inc(total)
         else:
-            stats.bytes_from_dpus += total
             _M_BYTES_FROM_DPU.inc(total)
-        stats.pushes += 1
         _M_PUSHES.inc()
-        if direction is XferDirection.TO_DPU:
-            _record_transfer("transfer.push", "to_dpu", total, n_dpus)
-        else:
-            _record_transfer("transfer.push", "from_dpu", total, n_dpus)
+        _record_transfer("transfer.push", direction.value, total, n_dpus)
         self._prepared.clear()
         return results if direction is XferDirection.FROM_DPU else None
 
@@ -242,8 +207,6 @@ def scatter_rows(
     dpus: list[Dpu],
     symbol_name: str,
     rows: list[np.ndarray] | list[bytes],
-    *,
-    stats: TransferStats | None = None,
 ) -> int:
     """Send a different (padded) row to each DPU; returns the pushed length.
 
@@ -260,24 +223,16 @@ def scatter_rows(
     batch = XferBatch()
     for dpu, buf in zip(dpus, padded):
         batch.prepare(dpu, buf.data + bytes(length - buf.padded_size))
-    batch.push(XferDirection.TO_DPU, symbol_name, length=length, stats=stats)
+    batch.push(XferDirection.TO_DPU, symbol_name, length=length)
     return length
 
 
-def gather_rows(
-    dpus: list[Dpu],
-    symbol_name: str,
-    length: int,
-    *,
-    stats: TransferStats | None = None,
-) -> list[bytes]:
+def gather_rows(dpus: list[Dpu], symbol_name: str, length: int) -> list[bytes]:
     """Read the same symbol back from every DPU (one row each)."""
     batch = XferBatch()
     for dpu in dpus:
         batch.prepare(dpu, bytearray(length))
-    return batch.push(
-        XferDirection.FROM_DPU, symbol_name, length=length, stats=stats
-    )
+    return batch.push(XferDirection.FROM_DPU, symbol_name, length=length)
 
 
 def _as_bytes(data: bytes | bytearray | memoryview | np.ndarray) -> bytes:

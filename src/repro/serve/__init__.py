@@ -10,13 +10,7 @@ fault-isolated DPUs.  Everything runs on the simulated clock, so served
 workloads are deterministic end to end.
 """
 
-from repro.serve.batcher import (
-    BatchPolicy,
-    DynamicBatcher,
-    ENV_MAX_BATCH,
-    ENV_MAX_DELAY_MS,
-    ENV_QUEUE_CAP,
-)
+from repro.serve.batcher import BatchPolicy, DynamicBatcher
 from repro.serve.loadgen import (
     ARRIVAL_PROCESSES,
     LoadSpec,
@@ -44,9 +38,6 @@ __all__ = [
     "DpuPool",
     "DynamicBatcher",
     "EbnnBackend",
-    "ENV_MAX_BATCH",
-    "ENV_MAX_DELAY_MS",
-    "ENV_QUEUE_CAP",
     "InferenceRequest",
     "InferenceResponse",
     "InferenceServer",

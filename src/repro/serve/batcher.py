@@ -23,7 +23,6 @@ fault-retry path bypass the cap (they were already admitted once).
 from __future__ import annotations
 
 import math
-import os
 from collections import deque
 from dataclasses import dataclass
 
@@ -34,12 +33,6 @@ from repro.serve.request import InferenceRequest, RejectReason
 _M_QUEUE_DEPTH = telemetry.GLOBAL_METRICS.gauge(
     "serve.queue_depth", "requests currently queued, per model class"
 )
-
-#: Environment knobs (read at BatchPolicy.from_env time, not import time,
-#: so tests and long-lived processes see changes).
-ENV_MAX_BATCH = "REPRO_SERVE_MAX_BATCH"
-ENV_MAX_DELAY_MS = "REPRO_SERVE_MAX_DELAY_MS"
-ENV_QUEUE_CAP = "REPRO_SERVE_QUEUE_CAP"
 
 
 @dataclass(frozen=True)
@@ -64,41 +57,6 @@ class BatchPolicy:
                 f"queue_cap ({self.queue_cap}) must be >= max_batch "
                 f"({self.max_batch}); a full batch could never assemble"
             )
-
-    @classmethod
-    def from_env(cls, **overrides) -> "BatchPolicy":
-        """Defaults overridden by ``REPRO_SERVE_*`` env, then ``overrides``.
-
-        Explicit keyword arguments win over the environment; ``None``
-        values in ``overrides`` are ignored so CLI flags pass through
-        unconditionally.
-        """
-        values: dict = {}
-        raw = os.environ.get(ENV_MAX_BATCH, "").strip()
-        if raw:
-            values["max_batch"] = _env_int(ENV_MAX_BATCH, raw)
-        raw = os.environ.get(ENV_MAX_DELAY_MS, "").strip()
-        if raw:
-            values["max_delay_s"] = _env_float(ENV_MAX_DELAY_MS, raw) / 1e3
-        raw = os.environ.get(ENV_QUEUE_CAP, "").strip()
-        if raw:
-            values["queue_cap"] = _env_int(ENV_QUEUE_CAP, raw)
-        values.update({k: v for k, v in overrides.items() if v is not None})
-        return cls(**values)
-
-
-def _env_int(name: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ServeError(f"{name} must be an integer, got {raw!r}") from None
-
-
-def _env_float(name: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ServeError(f"{name} must be a number, got {raw!r}") from None
 
 
 class DynamicBatcher:

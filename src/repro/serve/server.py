@@ -179,7 +179,7 @@ class InferenceServer:
             raise ServeError(
                 f"max_request_retries must be >= 0, got {max_request_retries}"
             )
-        default = policy if policy is not None else BatchPolicy.from_env()
+        default = policy if policy is not None else BatchPolicy()
         overrides = policies or {}
         self.pool = pool
         self.fault_policy = fault_policy

@@ -55,6 +55,15 @@ class TestFunctionalEquivalence:
         asm_out, _ = run_asm_conv(image, weights)
         assert np.array_equal(asm_out, reference_conv(image, weights))
 
+    @pytest.mark.parametrize("size,n_filters", [(10, 2), (16, 4)])
+    def test_matches_numpy_reference_past_the_mul8_range(self, size, n_filters):
+        """Output bases above 255 bytes per filter need the wide multiply."""
+        rng = np.random.default_rng(size)
+        image = rng.integers(0, 2, size=(size, size))
+        weights = rng.integers(0, 2, size=(n_filters, 3, 3))
+        asm_out, _ = run_asm_conv(image, weights)
+        assert np.array_equal(asm_out, reference_conv(image, weights))
+
     def test_all_ones_hits_maximum(self):
         image = np.ones((IMAGE_SIZE, IMAGE_SIZE), dtype=np.int64)
         weights = np.ones((1, 3, 3), dtype=np.int64)
@@ -129,3 +138,12 @@ class TestValidation:
             binary_conv_program(8, 0)
         with pytest.raises(DpuError):
             binary_conv_program(8, 25)
+        # Weights end at 4 * size**2 + 36 * filters > OUTPUT_BASE (16384).
+        with pytest.raises(DpuError, match="output region"):
+            binary_conv_program(64, 1)
+        with pytest.raises(DpuError, match="output region"):
+            binary_conv_program(63, 15)  # 15876 + 540
+        # Outputs: 13 * 31**2 = 12493 words > (65536 - 16384) / 4 = 12288.
+        with pytest.raises(DpuError, match="end of WRAM"):
+            binary_conv_program(33, 13)
+        binary_conv_program(33, 12)  # 11532 words: fits

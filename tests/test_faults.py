@@ -358,6 +358,50 @@ class TestWorkerKill:
         system.free(dpu_set)
 
 
+    def test_killed_chunk_reruns_like_the_unkilled_launch(self):
+        """The dead worker's chunk reruns on the parent's own DPUs: the
+        launch ends exactly as it does when no worker dies."""
+
+        def run(kill_chunks):
+            system, dpu_set = make_set(8)
+            pre_launch = dpu_set[1].checkpoint()
+            plan = FaultPlan(
+                **TestParallelPolicies.PLAN_KW, target_attempts=10,
+                kill_chunks=kill_chunks,
+            )
+            before = telemetry.GLOBAL_METRICS.snapshot()
+            with telemetry.tracing() as tracer, faults.fault_injection(plan):
+                report = dpu_set.launch(workers=2, fault_policy="isolate")
+            delta = telemetry.GLOBAL_METRICS.delta_since(before)
+            kills = delta["dpu.faults"]["children"].pop(
+                (("kind", "worker_kill"),)
+            )["state"]
+            bad = dpu_set[1]
+            assert bad.mram._pages.keys() == pre_launch.mram_pages.keys()
+            for index, page in pre_launch.mram_pages.items():
+                assert np.array_equal(bad.mram._pages[index], page)
+            assert np.array_equal(bad.wram._data, pre_launch.wram)
+            assert bad.last_result is None
+            spans = {
+                name: sum(1 for s in tracer.all_spans() if s.name == name)
+                for name in ("dpu.exec", "dpu.fault")
+            }
+            state = set_state(dpu_set)
+            system.free(dpu_set)
+            return report.outcomes, state, delta, spans, kills
+
+        outcomes, state, delta, spans, kills = run(kill_chunks={0})
+        clean = run(kill_chunks=set())
+        assert kills >= 1 and clean[4] == 0
+        assert [(o.dpu_id, o.status) for o in outcomes if not o.ok] == [
+            (1, "faulted"), (5, "hung"),
+        ]
+        assert outcomes == clean[0]
+        assert state == clean[1]
+        assert delta == clean[2]
+        assert spans == clean[3] == {"dpu.exec": 6, "dpu.fault": 2}
+
+
 class TestAcceptanceCriterion:
     """ISSUE 3: single fault in a 64-DPU parallel launch, isolate policy."""
 
@@ -458,40 +502,30 @@ class TestPushPartialFailure:
         dpu_set.load(mix_image())
         return system, dpu_set
 
-    def test_short_buffer_touches_no_dpu(self):
+    def test_short_buffer_touches_no_dpu(self, traffic):
         system = DpuSystem(UPMEM_ATTRIBUTES.scaled(4))
         dpu_set = system.allocate(2)
         dpu_set.load(DpuImage.from_symbol_layout(
             "wide", program=assemble(MIX_SOURCE, name="wide"),
             layout=[("buf", 16)],
         ))
-        stats = xfer.TransferStats()
         batch = xfer.XferBatch()
         batch.prepare(dpu_set[0], bytes([0xAA] * 16))
         batch.prepare(dpu_set[1], bytes([0xBB] * 8))  # too short for 16
-        before = telemetry.GLOBAL_METRICS.snapshot()
         with pytest.raises(TransferError, match="shorter"):
-            batch.push(
-                xfer.XferDirection.TO_DPU, "buf", length=16, stats=stats
-            )
-        delta = telemetry.GLOBAL_METRICS.delta_since(before)
+            batch.push(xfer.XferDirection.TO_DPU, "buf", length=16)
         # DPU 0 was NOT written before the error surfaced...
         assert dpu_set[0].read_symbol("buf", 16) == bytes(16)
-        # ...and stats and metrics agree: nothing was accounted.
-        assert stats.bytes_to_dpus == 0 and stats.pushes == 0
-        to_dpu = delta["transfer.bytes"]["children"][(("direction", "to_dpu"),)]
-        assert to_dpu["state"] == 0
-        assert delta["transfer.pushes"]["state"] == 0
+        # ...and nothing was accounted.
+        assert traffic()["to_dpu"] == 0 and traffic()["pushes"] == 0
         # The batch is still intact: a corrected retry just works.
-        batch.push(
-            xfer.XferDirection.TO_DPU, "buf", length=8, stats=stats
-        )
+        batch.push(xfer.XferDirection.TO_DPU, "buf", length=8)
         assert dpu_set[0].read_symbol("buf", 8) == bytes([0xAA] * 8)
         assert dpu_set[1].read_symbol("buf", 8) == bytes([0xBB] * 8)
-        assert stats.bytes_to_dpus == 16 and stats.pushes == 1
+        assert traffic()["to_dpu"] == 16 and traffic()["pushes"] == 1
         system.free(dpu_set)
 
-    def test_missing_symbol_touches_no_dpu(self):
+    def test_missing_symbol_touches_no_dpu(self, traffic):
         system, dpu_set = self.make_pair()
         # DPU 1 carries an image without the 'seed' symbol.
         other = DpuImage.from_symbol_layout(
@@ -499,14 +533,13 @@ class TestPushPartialFailure:
             layout=[("blob", 16)],
         )
         dpu_set[1].load(other)
-        stats = xfer.TransferStats()
         batch = xfer.XferBatch()
         batch.prepare(dpu_set[0], bytes([0xCC] * 8))
         batch.prepare(dpu_set[1], bytes([0xDD] * 8))
         with pytest.raises(SymbolError, match="seed"):
-            batch.push(xfer.XferDirection.TO_DPU, "seed", stats=stats)
+            batch.push(xfer.XferDirection.TO_DPU, "seed")
         assert dpu_set[0].read_symbol("seed", 8) == bytes(8)
-        assert stats.bytes_to_dpus == 0 and stats.pushes == 0
+        assert traffic()["to_dpu"] == 0 and traffic()["pushes"] == 0
         system.free(dpu_set)
 
     def test_broadcast_missing_symbol_touches_no_dpu(self):
@@ -521,17 +554,14 @@ class TestPushPartialFailure:
         assert dpu_set[0].read_symbol("seed", 8) == bytes(8)
         system.free(dpu_set)
 
-    def test_gather_stats_all_or_nothing(self):
+    def test_gather_stats_all_or_nothing(self, traffic):
         system, dpu_set = self.make_pair()
-        stats = xfer.TransferStats()
         batch = xfer.XferBatch()
         batch.prepare(dpu_set[0], bytearray(8))
         batch.prepare(dpu_set[1], bytearray(4))  # short for a FROM_DPU pull
         with pytest.raises(TransferError, match="shorter"):
-            batch.push(
-                xfer.XferDirection.FROM_DPU, "seed", length=8, stats=stats
-            )
-        assert stats.bytes_from_dpus == 0 and stats.pushes == 0
+            batch.push(xfer.XferDirection.FROM_DPU, "seed", length=8)
+        assert traffic()["from_dpu"] == 0 and traffic()["pushes"] == 0
         system.free(dpu_set)
 
 

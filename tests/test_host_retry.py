@@ -59,9 +59,9 @@ def test_worker_delta_after_retry_holds_only_the_retry_pages():
         fault_policy="retry",
         max_retries=1,
     )
-    outcome = parallel._run_order(task, task.orders[0])
-    assert outcome.ok and outcome.attempts == 2
-    assert sorted(outcome.delta.mram_pages) == [2]
+    reply = parallel._run_order(task, task.orders[0])
+    assert reply.outcome.ok and reply.outcome.attempts == 2
+    assert sorted(reply.delta.mram_pages) == [2]
 
 
 def test_serial_retry_restores_the_failed_attempt_writes():

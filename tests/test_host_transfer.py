@@ -5,7 +5,7 @@ import pytest
 
 from repro.dpu.device import Dpu, DpuImage
 from repro.host import transfer
-from repro.host.transfer import TransferStats, XferBatch, XferDirection
+from repro.host.transfer import XferBatch, XferDirection
 from repro.errors import TransferError
 
 
@@ -22,14 +22,13 @@ def make_dpus(n=3, symbol_size=64):
 
 
 class TestCopyTo:
-    def test_broadcast_reaches_all_dpus(self):
+    def test_broadcast_reaches_all_dpus(self, traffic):
         dpus = make_dpus()
-        stats = TransferStats()
-        transfer.copy_to(dpus, "data", b"ABCDEFGH", stats=stats)
+        transfer.copy_to(dpus, "data", b"ABCDEFGH")
         for dpu in dpus:
             assert dpu.read_symbol("data", 8) == b"ABCDEFGH"
-        assert stats.bytes_to_dpus == 24
-        assert stats.broadcasts == 1
+        assert traffic()["to_dpu"] == 24
+        assert traffic()["broadcasts"] == 1
 
     def test_numpy_payload(self):
         dpus = make_dpus(1)
@@ -50,12 +49,11 @@ class TestCopyTo:
 
 
 class TestCopyFrom:
-    def test_reads_back(self):
+    def test_reads_back(self, traffic):
         dpus = make_dpus(1)
         dpus[0].write_symbol("data", b"12345678")
-        stats = TransferStats()
-        assert transfer.copy_from(dpus[0], "data", 8, stats=stats) == b"12345678"
-        assert stats.bytes_from_dpus == 8
+        assert transfer.copy_from(dpus[0], "data", 8) == b"12345678"
+        assert traffic()["from_dpu"] == 8
 
     def test_unaligned_rejected(self):
         with pytest.raises(TransferError):

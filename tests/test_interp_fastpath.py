@@ -556,9 +556,8 @@ class TestParallelDeltaLaunch:
                 index=0, dpu_id=0, memory=dpu.export_memory_state()
             )],
         )
-        outcome = par._run_order(task, task.orders[0])
-        assert outcome.ok
-        assert outcome.memory is None
-        assert outcome.delta is not None
-        assert sorted(outcome.delta.mram_pages) == [2]  # only the dst page
-        assert outcome.delta.wram_data is not None  # staging buffer span
+        reply = par._run_order(task, task.orders[0])
+        assert reply.outcome.ok
+        assert reply.delta is not None
+        assert sorted(reply.delta.mram_pages) == [2]  # only the dst page
+        assert reply.delta.wram_data is not None  # staging buffer span

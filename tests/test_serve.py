@@ -69,25 +69,6 @@ class TestBatchPolicy:
         with pytest.raises(ServeError):
             BatchPolicy(max_batch=32, queue_cap=16)
 
-    def test_from_env_reads_knobs(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_MAX_BATCH", "4")
-        monkeypatch.setenv("REPRO_SERVE_MAX_DELAY_MS", "5")
-        monkeypatch.setenv("REPRO_SERVE_QUEUE_CAP", "9")
-        policy = BatchPolicy.from_env()
-        assert policy.max_batch == 4
-        assert policy.max_delay_s == pytest.approx(5e-3)
-        assert policy.queue_cap == 9
-
-    def test_explicit_overrides_beat_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_MAX_BATCH", "4")
-        policy = BatchPolicy.from_env(max_batch=2)
-        assert policy.max_batch == 2
-
-    def test_env_garbage_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_MAX_BATCH", "lots")
-        with pytest.raises(ServeError):
-            BatchPolicy.from_env()
-
 
 class TestDynamicBatcher:
     def test_empty_queue_never_schedules_a_flush(self):
