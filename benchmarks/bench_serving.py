@@ -4,15 +4,16 @@ Drives the :mod:`repro.serve` stack with seeded open-loop workloads at
 several offered rates, for both model classes (eBNN multi-image batches,
 YOLO multi-DPU GEMM sharding), and writes the BENCH artifact::
 
-    {"benchmark": "serving", "results": [
+    {"benchmark": "serving", "wall_s": ..., "results": [
         {"model": "ebnn", "offered_rps": 4000, "offered": 80,
          "completed": ..., "rejected": ..., "rejects_by_reason": {...},
          "throughput_rps": ..., "p50_ms": ..., "p95_ms": ..., "p99_ms":
          ..., "mean_batch": ..., "batch_sizes": {...}}, ...]}
 
-All latencies are *simulated* seconds (the only clock the repo reports),
-so every number in the artifact is deterministic for a given seed —
-comparable across commits and machines.
+All latencies are *simulated* seconds, so every number in the artifact
+is deterministic for a given seed — comparable across commits and
+machines — except ``wall_s``, the host wall-clock seconds the sweep took
+(the simulator's own speed, which depends on the machine).
 
 Run standalone::
 
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import time
 
 import numpy as np
 
@@ -191,11 +193,14 @@ def main(argv: list[str] | None = None) -> int:
         queue_cap=args.queue_cap,
     )
 
+    started = time.perf_counter()
     results = measure(smoke=args.smoke, seed=args.seed, policy=policy)
+    wall_s = time.perf_counter() - started
     payload = {
         "benchmark": "serving",
         "smoke": args.smoke,
         "seed": args.seed,
+        "wall_s": round(wall_s, 2),
         "policy": {
             "max_batch": policy.max_batch,
             "max_delay_s": policy.max_delay_s,
@@ -216,7 +221,7 @@ def main(argv: list[str] | None = None) -> int:
               f"{row['rejected']:>4}  {row['throughput_rps']:>9.1f}  "
               f"{_f(row['p50_ms']):>8}  {_f(row['p95_ms']):>8}  "
               f"{_f(row['p99_ms']):>8}  {row['mean_batch']:>6.1f}")
-    print(f"wrote {args.out}")
+    print(f"wall time {wall_s:.1f} s; wrote {args.out}")
     return 0
 
 

@@ -31,14 +31,14 @@ import numpy as np
 from repro import telemetry
 from repro.dpu.attributes import UPMEM_ATTRIBUTES, UpmemAttributes
 from repro.dpu.costs import Operation, OptLevel, Precision, mram_access_cycles
-from repro.dpu.device import DpuImage
-from repro.dpu.kernel import GLOBAL_KERNELS, KernelContext
+from repro.dpu.device import Dpu, DpuImage
+from repro.dpu.kernel import GLOBAL_KERNELS, KernelContext, KernelResult
 from repro.dpu.memory import Mram, Wram
-from repro.errors import DegradedLaunchError, MappingError
+from repro.errors import DegradedLaunchError, DpuMemoryError, MappingError
 from repro.host.alignment import align_up
 from repro.host.runtime import DpuSet, DpuSystem, LaunchReport
 from repro.host.transfer import scatter_rows
-from repro.nn.gemm import GemmShape, gemm_row
+from repro.nn.gemm import GemmShape, gemm_fast, gemm_row
 from repro.nn.models.darknet import Yolov3Model
 from repro.nn.quantize import QuantParams
 
@@ -179,6 +179,79 @@ def yolo_gemm_row_kernel(ctx: KernelContext, *, layout: YoloDpuLayout) -> None:
     c_row = gemm_row(alpha, a_row, b, divisor=divisor or 32)
     ctx.write_symbol_array("c_row", c_row.astype(np.int32))
     charge_gemm_row_costs(ctx, shape)
+
+
+@GLOBAL_KERNELS.register_set_form("yolo_gemm_row")
+def yolo_gemm_row_set(
+    dpus: list[Dpu],
+    *,
+    n_tasklets: int,
+    opt_level: OptLevel,
+    layout: YoloDpuLayout,
+):
+    """:func:`yolo_gemm_row_kernel` on every DPU of a launch at once.
+
+    Reads each DPU's own metadata, A row and B, and declines (``None``)
+    if any DPU would fail.  Otherwise returns the run: DPUs whose metadata
+    and B agree byte for byte share one :func:`gemm_fast` over their
+    stacked A rows, and each writes its own C row.  Each B is compared
+    with its group's as it is read, so one copy per group stays alive.
+    The costs depend only on the shape, so they are charged once.
+    """
+    shape = layout.shape
+    n, k = shape.n, shape.k
+    symbols = dpus[0].image.symbols
+    if any(name not in symbols for name in ("meta", "a_row", "b", "c_row")):
+        return None
+    meta_addr = symbols["meta"].mram_addr
+    a_addr = symbols["a_row"].mram_addr
+    b_addr = symbols["b"].mram_addr
+    c_addr = symbols["c_row"].mram_addr
+    # DPUs with byte-equal metadata and B share a group: (metadata, B,
+    # alpha, divisor, member DPUs, their A rows).
+    groups: list[tuple[bytes, bytes, int, int, list[Dpu], list[bytes]]] = []
+    try:
+        for dpu in dpus:
+            mram = dpu.mram
+            if c_addr + 4 * n > mram.size:
+                return None
+            meta = mram.read(meta_addr, 24)
+            b = mram.read(b_addr, 2 * k * n)
+            for group in groups:
+                if group[0] == meta and group[1] == b:
+                    break
+            else:
+                _, meta_n, meta_k, alpha, divisor, _ = (
+                    int(v) for v in np.frombuffer(meta, dtype=np.int32)
+                )
+                divisor = divisor or 32
+                if (meta_n, meta_k) != (n, k) or divisor < 0:
+                    return None
+                group = (meta, b, alpha, divisor, [], [])
+                groups.append(group)
+            group[4].append(dpu)
+            group[5].append(mram.read(a_addr, 2 * k))
+    except DpuMemoryError:
+        return None
+    row_bytes = 4 * n
+
+    def run() -> list[KernelResult]:
+        ctx = KernelContext(
+            Mram(), Wram(), n_tasklets=n_tasklets, opt_level=opt_level
+        )
+        charge_gemm_row_costs(ctx, shape)
+        result = ctx.result()
+        for _, b, alpha, divisor, members, a_rows in groups:
+            a = np.frombuffer(b"".join(a_rows), dtype=np.int16).reshape(-1, k)
+            b_matrix = np.frombuffer(b, dtype=np.int16).reshape(k, n)
+            c = gemm_fast(alpha, a, b_matrix, divisor=divisor)
+            c_bytes = memoryview(c).cast("B")
+            for row, dpu in enumerate(members):
+                start = row * row_bytes
+                dpu.mram.write(c_addr, c_bytes[start : start + row_bytes])
+        return [result.copy() for _ in dpus]
+
+    return run
 
 
 def gemm_layer_cycles(

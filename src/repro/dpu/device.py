@@ -354,7 +354,7 @@ class Dpu:
                 opt_level=opt_level,
                 inject=event,
             )
-            self.last_result = interpreter.run()
+            result = interpreter.run()
         else:
             if event is not None:
                 # Kernel images have no instruction stream to trap inside;
@@ -369,8 +369,19 @@ class Dpu:
                 symbols=self.image.symbols,
             )
             kernel(context, **kernel_params)
-            self.last_result = context.result()
-        result = self.last_result
+            result = context.result()
+        return self.finish_launch(result, n_tasklets)
+
+    def finish_launch(
+        self, result: ExecutionResult | KernelResult, n_tasklets: int
+    ) -> ExecutionResult | KernelResult:
+        """Book a completed run: ``last_result``, metrics, ``dpu.exec`` span.
+
+        :meth:`launch` ends here, and so does each DPU of a set launch
+        whose kernel ran through its set form, so both leave the same
+        observable trace.
+        """
+        self.last_result = result
         _M_DPU_EXECS.inc()
         _M_LAUNCH_CYCLES.observe(float(result.cycles))
         if isinstance(result, ExecutionResult):

@@ -74,6 +74,17 @@ class KernelResult:
     def compute_cycles(self) -> float:
         return self.cycles - self.dma_cycles
 
+    def copy(self) -> "KernelResult":
+        """An equal result that shares no mutable state with this one."""
+        return KernelResult(
+            self.cycles,
+            self.issue_slots,
+            self.dma_cycles,
+            self.dma_bytes,
+            self.n_tasklets,
+            self.profile.copy(),
+        )
+
 
 class KernelContext:
     """Accounting and memory-access surface handed to a Python kernel."""
@@ -265,12 +276,27 @@ class KernelContext:
 #: A DPU kernel: receives the context plus host-provided launch parameters.
 Kernel = Callable[..., None]
 
+#: A kernel's set form: checks every DPU of one launch, returns the run.
+SetForm = Callable[..., "Callable[[], list[KernelResult]] | None"]
+
 
 class KernelRegistry:
-    """Named kernels the host can "load" onto a DPU (the dpu-clang stand-in)."""
+    """Named kernels the host can "load" onto a DPU (the dpu-clang stand-in).
+
+    A kernel may also have a *set form*, which ``DpuSet.launch`` calls once
+    in place of one kernel call per DPU.  It receives the member DPUs plus
+    ``n_tasklets``, ``opt_level`` and the launch parameters, reads and
+    checks every DPU without writing, and returns either ``None`` to
+    decline, when any DPU would fail (the per-DPU kernels then run and
+    raise their own errors), or the run: a function of no arguments that
+    leaves each DPU's memory as the per-DPU kernel would and returns one
+    fresh :class:`KernelResult` per DPU.  The set form stays bound to the
+    kernel's name when the kernel is re-registered.
+    """
 
     def __init__(self) -> None:
         self._kernels: dict[str, Kernel] = {}
+        self._set_forms: dict[str, SetForm] = {}
 
     def register(self, name: str, kernel: Kernel | None = None):
         """Register a kernel, usable directly or as a decorator."""
@@ -283,6 +309,19 @@ class KernelRegistry:
             return fn
 
         return decorator
+
+    def register_set_form(self, name: str):
+        """Decorator registering the set form of kernel ``name``."""
+
+        def decorator(fn: SetForm) -> SetForm:
+            self._set_forms[name] = fn
+            return fn
+
+        return decorator
+
+    def set_form(self, name: str) -> SetForm | None:
+        """The set form registered for kernel ``name``, if any."""
+        return self._set_forms.get(name)
 
     def get(self, name: str) -> Kernel:
         try:

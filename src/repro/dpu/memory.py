@@ -65,6 +65,17 @@ class Wram:
         self._buf = np.ascontiguousarray(array)
         self._view = memoryview(self._buf)
 
+    def __getstate__(self) -> dict:
+        # A memoryview can be neither pickled nor deep-copied; the copy
+        # rebuilds its own over the copied buffer.
+        state = self.__dict__.copy()
+        del state["_view"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._view = memoryview(self._buf)
+
     def _check(self, addr: int, n_bytes: int) -> None:
         if addr < 0 or n_bytes < 0 or addr + n_bytes > self.size:
             raise DpuMemoryError(
@@ -210,18 +221,20 @@ class Mram:
             if page is None:
                 return bytes(n_bytes)
             return memoryview(page)[offset : offset + n_bytes].tobytes()
-        out = bytearray(n_bytes)
-        view = memoryview(out)
+        # Page-crossing: join zero-copy page views, so the payload is
+        # copied once.
+        parts: list[memoryview | bytes] = []
         pos = 0
         while pos < n_bytes:
-            a = addr + pos
-            page_index, offset = divmod(a, _MRAM_PAGE_BYTES)
+            page_index, offset = divmod(addr + pos, _MRAM_PAGE_BYTES)
             chunk = min(n_bytes - pos, _MRAM_PAGE_BYTES - offset)
             page = self._pages.get(page_index)
-            if page is not None:
-                view[pos : pos + chunk] = memoryview(page)[offset : offset + chunk]
+            if page is None:
+                parts.append(bytes(chunk))
+            else:
+                parts.append(memoryview(page)[offset : offset + chunk])
             pos += chunk
-        return bytes(out)
+        return b"".join(parts)
 
     def read_view(self, addr: int, n_bytes: int) -> "memoryview | bytes":
         """Zero-copy view when the range lies in one resident page.
@@ -243,11 +256,19 @@ class Mram:
         if isinstance(data, memoryview):
             if not data.c_contiguous:
                 data = bytes(data)
+            elif data.format != "B":
+                data = data.cast("B")
         elif not isinstance(data, (bytes, bytearray)):
             data = bytes(data)
         n_bytes = len(data)
         self._check(addr, n_bytes)
         if n_bytes == 0:
+            return
+        page_index, offset = divmod(addr, _MRAM_PAGE_BYTES)
+        if offset + n_bytes <= _MRAM_PAGE_BYTES:
+            # Within one page, as every DMA beat and most host writes are.
+            memoryview(self._page(page_index))[offset : offset + n_bytes] = data
+            self._dirty.add(page_index)
             return
         src = np.frombuffer(data, dtype=np.uint8)
         pos = 0

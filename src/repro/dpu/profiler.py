@@ -73,6 +73,13 @@ class SubroutineProfile:
         entry.occurrences += count
         entry.instructions += instructions * count
 
+    def copy(self) -> "SubroutineProfile":
+        """An equal profile that shares no record with this one."""
+        return SubroutineProfile({
+            name: SubroutineRecord(name, r.occurrences, r.instructions)
+            for name, r in self.records.items()
+        })
+
     def occurrences(self, name: str) -> int:
         """``#occ`` for one subroutine (0 if never called)."""
         entry = self.records.get(name)

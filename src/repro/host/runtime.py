@@ -30,6 +30,7 @@ from repro import faults, telemetry
 from repro.dpu.attributes import UPMEM_ATTRIBUTES, UpmemAttributes
 from repro.dpu.costs import OptLevel
 from repro.dpu.device import Dpu, DpuImage
+from repro.dpu.kernel import GLOBAL_KERNELS
 from repro.host import parallel
 from repro.host import transfer as xfer
 from repro.host.parallel import DpuOutcome
@@ -202,7 +203,9 @@ class DpuSet:
           up to ``max_retries`` extra attempts, then isolate.
 
         Serial and parallel launches share one per-DPU attempt/restore
-        loop, :func:`repro.host.parallel.run_attempts`.
+        loop, :func:`repro.host.parallel.run_attempts`.  A serial launch
+        of a kernel with a set form runs it once for the whole set
+        instead, unless the fault plan injects into a member.
 
         ``None`` defers to the installed fault plan's ``default_policy``
         (``"raise"`` when injection is off).
@@ -308,7 +311,20 @@ class DpuSet:
         max_retries: int = 0,
     ) -> LaunchReport:
         runs: list[tuple[DpuOutcome, Any]] | None = None
-        if workers > 1 and len(self.dpus) > 1:
+        outcomes: list[DpuOutcome] = []
+        results = None
+        if workers == 1:
+            results = self._launch_set_form(
+                n_tasklets, opt_level, kernel_params, fault_policy
+            )
+        if results is not None:
+            per_dpu = [float(result.cycles) for result in results]
+            if fault_policy != "raise":
+                outcomes = [
+                    DpuOutcome(index, dpu.dpu_id)
+                    for index, dpu in enumerate(self.dpus)
+                ]
+        elif workers > 1 and len(self.dpus) > 1:
             runs = parallel.launch_parallel(
                 self,
                 n_tasklets=n_tasklets,
@@ -337,7 +353,6 @@ class DpuSet:
                 )
                 for index, dpu in enumerate(self.dpus)
             ]
-        outcomes: list[DpuOutcome] = []
         if runs is not None:
             outcomes = [outcome for outcome, _ in runs]
             if not any(o.ok for o in outcomes):
@@ -369,6 +384,52 @@ class DpuSet:
         if report.degraded:
             _M_LAUNCH_DEGRADED.inc()
         return report
+
+    def _launch_set_form(
+        self,
+        n_tasklets: int,
+        opt_level: OptLevel,
+        kernel_params: dict,
+        fault_policy: str,
+    ) -> list | None:
+        """Run the image's kernel set form once over the whole set.
+
+        Returns one result per DPU, each booked by ``Dpu.finish_launch``
+        as :meth:`Dpu.launch` would, or ``None`` with nothing run when the
+        per-DPU path must run instead: the image has no set form, a member
+        holds another image, the tasklet count is out of range, the fault
+        plan injects into a member's first attempt, or the set form
+        declines.
+        """
+        image = self.image
+        set_form = GLOBAL_KERNELS.set_form(image.kernel_name)
+        if set_form is None:
+            return None
+        plan = faults.current_plan()
+        for dpu in self.dpus:
+            if (
+                dpu.image is not image
+                or not 1 <= n_tasklets <= dpu.attributes.max_tasklets
+                or (
+                    plan is not None
+                    and plan.exec_fault(dpu.dpu_id, 0) is not None
+                )
+            ):
+                return None
+        run = set_form(
+            self.dpus, n_tasklets=n_tasklets, opt_level=opt_level,
+            **kernel_params,
+        )
+        if run is None:
+            return None
+        if fault_policy != "raise":
+            # As run_attempts does before each DPU's first attempt.
+            for dpu in self.dpus:
+                dpu.reset_memory_dirty()
+        results = run()
+        for dpu, result in zip(self.dpus, results):
+            dpu.finish_launch(result, n_tasklets)
+        return results
 
 
 class AsyncLaunch:

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro import faults, telemetry
 from repro.dpu.device import Dpu
-from repro.host.alignment import pad_buffer, validate_transfer
+from repro.host.alignment import align_up, validate_transfer
 from repro.errors import TransferError
 
 _M_XFER_BYTES = telemetry.GLOBAL_METRICS.counter(
@@ -132,11 +132,13 @@ class XferBatch:
     _prepared: list[tuple[Dpu, bytearray | bytes]] = field(default_factory=list)
 
     def prepare(self, dpu: Dpu, buffer: bytes | bytearray | np.ndarray) -> None:
-        """``dpu_prepare_xfer``: associate a buffer with one DPU."""
+        """``dpu_prepare_xfer``: associate a buffer with one DPU.
+
+        The buffer is kept, not copied (an array is taken as its bytes).
+        A FROM_DPU push fills a prepared ``bytearray`` in place.
+        """
         if isinstance(buffer, np.ndarray):
-            buffer = bytearray(np.ascontiguousarray(buffer).tobytes())
-        elif isinstance(buffer, bytes):
-            buffer = bytearray(buffer)
+            buffer = np.ascontiguousarray(buffer).tobytes()
         self._prepared.append((dpu, buffer))
 
     def push(
@@ -179,7 +181,7 @@ class XferBatch:
         n_dpus = len(self._prepared)
         for dpu, buffer in self._prepared:
             if direction is XferDirection.TO_DPU:
-                payload = bytes(buffer[:length])
+                payload = buffer if len(buffer) == length else buffer[:length]
                 if plan is not None:
                     payload = plan.corrupt(payload, dpu_id=dpu.dpu_id)
                 dpu.write_symbol(symbol_name, payload, symbol_offset)
@@ -218,11 +220,14 @@ def scatter_rows(
         raise TransferError(
             f"{len(rows)} rows for {len(dpus)} DPUs; counts must match"
         )
-    padded = [pad_buffer(_as_bytes(row)) for row in rows]
-    length = max(buf.padded_size for buf in padded)
+    raws = [_as_bytes(row) for row in rows]
+    length = align_up(max(len(raw) for raw in raws))
     batch = XferBatch()
-    for dpu, buf in zip(dpus, padded):
-        batch.prepare(dpu, buf.data + bytes(length - buf.padded_size))
+    for dpu, raw in zip(dpus, raws):
+        # Pad each row once, straight to the common length.
+        if len(raw) < length:
+            raw += bytes(length - len(raw))
+        batch.prepare(dpu, raw)
     batch.push(XferDirection.TO_DPU, symbol_name, length=length)
     return length
 

@@ -1,5 +1,7 @@
 """Tests for repro.dpu.memory (WRAM/IRAM/MRAM, DMA engine)."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -50,6 +52,15 @@ class TestWram:
         wram.write(0, b"\xff" * 8)
         wram.clear()
         assert wram.read(0, 8) == bytes(8)
+
+    def test_deep_copy_owns_its_buffer(self):
+        wram = Wram(64)
+        wram.write(0, b"original")
+        twin = copy.deepcopy(wram)
+        twin.write(0, b"changed!")
+        assert wram.read(0, 8) == b"original"
+        assert twin.read(0, 8) == b"changed!"
+        assert twin.dirty_span() == (0, 8)
 
     def test_default_size_is_64_kb(self):
         assert Wram().size == 64 * 1024
@@ -121,6 +132,59 @@ class TestMram:
         values = np.arange(100, dtype=np.int16)
         mram.write_array(4096, values)
         assert np.array_equal(mram.read_array(4096, np.int16, 100), values)
+
+    PAGE = 64 * 1024
+
+    def test_one_page_write_marks_one_dirty_page(self):
+        mram = Mram()
+        mram.write(3 * self.PAGE + 8, bytearray(b"abcdefgh"))
+        mram.write(3 * self.PAGE + self.PAGE - 8, memoryview(b"12345678"))
+        assert mram.dirty_pages() == [3]
+        assert mram.resident_bytes == self.PAGE
+        assert mram.read(3 * self.PAGE + 8, 8) == b"abcdefgh"
+        assert mram.read(4 * self.PAGE - 8, 8) == b"12345678"
+
+    def test_write_takes_a_typed_memoryview_as_its_bytes(self):
+        mram = Mram()
+        values = np.arange(6, dtype=np.int32)
+        mram.write(self.PAGE - 8, memoryview(values))
+        mram.write(16, memoryview(values))
+        for addr in (self.PAGE - 8, 16):
+            assert np.array_equal(mram.read_array(addr, np.int32, 6), values)
+
+    def test_write_spanning_three_pages(self):
+        mram = Mram()
+        data = bytes(i % 251 for i in range(self.PAGE + 100))
+        start = self.PAGE - 50
+        mram.write(start, data)
+        assert mram.dirty_pages() == [0, 1, 2]
+        assert mram.read(start, len(data)) == data
+        assert mram.read(start - 8, 8) == bytes(8)
+        assert mram.read(start + len(data), 8) == bytes(8)
+
+    def test_page_crossing_read_is_bytes(self):
+        mram = Mram()
+        mram.write(self.PAGE - 4, b"ABCDEFGH")
+        got = mram.read(self.PAGE - 4, 8)
+        assert type(got) is bytes and got == b"ABCDEFGH"
+
+    def test_crossing_read_through_absent_pages(self):
+        mram = Mram()
+        mram.write(2 * self.PAGE, b"middle!!")
+        got = mram.read(self.PAGE + 10, 2 * self.PAGE)
+        assert len(got) == 2 * self.PAGE
+        offset = self.PAGE - 10
+        assert got[:offset] == bytes(offset)
+        assert got[offset : offset + 8] == b"middle!!"
+        assert got[offset + 8 :] == bytes(len(got) - offset - 8)
+        assert mram.resident_bytes == self.PAGE  # reads allocate nothing
+
+    def test_reads_from_absent_pages_are_zero_and_allocate_nothing(self):
+        mram = Mram()
+        assert mram.read(5 * self.PAGE + 16, 32) == bytes(32)
+        assert mram.read(5 * self.PAGE - 16, 32) == bytes(32)
+        assert mram.resident_bytes == 0
+        assert mram.dirty_pages() == []
 
 
 class TestDmaEngine:

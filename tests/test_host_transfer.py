@@ -116,6 +116,34 @@ class TestXferBatch:
         with pytest.raises(TransferError):
             batch.push(XferDirection.TO_DPU, "data")
 
+    def test_pushed_bytearray_is_copied_into_mram(self):
+        dpus = make_dpus(1)
+        buffer = bytearray(b"ORIGINAL")
+        batch = XferBatch()
+        batch.prepare(dpus[0], buffer)
+        batch.push(XferDirection.TO_DPU, "data")
+        buffer[:] = b"CHANGED!"
+        assert dpus[0].read_symbol("data", 8) == b"ORIGINAL"
+
+    def test_numpy_buffer_pushes_its_bytes(self):
+        dpus = make_dpus(1)
+        values = np.arange(4, dtype=np.int32)
+        batch = XferBatch()
+        batch.prepare(dpus[0], values)
+        batch.push(XferDirection.TO_DPU, "data")
+        assert np.array_equal(
+            dpus[0].read_symbol_array("data", np.int32, 4), values
+        )
+
+    def test_gather_fills_prepared_bytearray(self):
+        dpus = make_dpus(1)
+        dpus[0].write_symbol("data", b"FILLED!!")
+        buffer = bytearray(16)
+        batch = XferBatch()
+        batch.prepare(dpus[0], buffer)
+        batch.push(XferDirection.FROM_DPU, "data", length=8)
+        assert buffer == b"FILLED!!" + bytes(8)
+
 
 class TestRowHelpers:
     def test_scatter_rows_pads_to_common_length(self):
@@ -129,6 +157,18 @@ class TestRowHelpers:
         assert np.array_equal(
             dpus[1].read_symbol_array("data", np.int16, 4), rows[1]
         )
+
+    def test_scatter_rows_zero_fills_each_row_to_the_longest(self):
+        dpus = make_dpus(3)
+        for dpu in dpus:
+            dpu.write_symbol("data", b"\xff" * 24)
+        rows = [b"abc", b"0123456789", bytearray(b"x" * 16)]
+        assert transfer.scatter_rows(dpus, "data", rows) == 16
+        assert dpus[0].read_symbol("data", 24) == (
+            b"abc" + bytes(13) + b"\xff" * 8
+        )
+        assert dpus[1].read_symbol("data", 16) == b"0123456789" + bytes(6)
+        assert dpus[2].read_symbol("data", 16) == b"x" * 16
 
     def test_scatter_count_mismatch(self):
         with pytest.raises(TransferError, match="counts must match"):
