@@ -86,6 +86,9 @@ class ModelBackend:
         """One-time staging onto freshly allocated DPUs."""
         raise NotImplementedError
 
+    def check(self, request: InferenceRequest) -> None:
+        """Raise :class:`ServeError` if ``request`` cannot be served."""
+
     def run_batch(
         self,
         members: list,
@@ -116,6 +119,15 @@ class EbnnBackend(ModelBackend):
 
     def warm(self, dpu_set: DpuSet) -> None:
         self.executor.warm(dpu_set)
+
+    def check(self, request: InferenceRequest) -> None:
+        size = self.model.config.image_size
+        shape = np.shape(request.payload)
+        if shape != (size, size):
+            raise ServeError(
+                f"request {request.request_id}: eBNN payload has shape "
+                f"{shape}; the model takes ({size}, {size}) images"
+            )
 
     def run_batch(
         self,

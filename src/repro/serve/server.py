@@ -201,9 +201,9 @@ class InferenceServer:
         """Admit one request; returns the response when rejected at the door.
 
         ``None`` means the request is queued and will resolve during a
-        later flush.  Unknown models and duplicate request ids are caller
-        bugs and raise :class:`ServeError` instead of burning a
-        rejection.
+        later flush.  Unknown models, payloads the model's backend cannot
+        take and duplicate request ids are caller bugs and raise
+        :class:`ServeError` instead of burning a rejection.
         """
         batcher = self._batchers.get(request.model)
         if batcher is None:
@@ -211,6 +211,7 @@ class InferenceServer:
                 f"request {request.request_id} names unknown model "
                 f"{request.model!r}; the pool serves {self.pool.models()}"
             )
+        self.pool.backend(request.model).check(request)
         if (
             request.request_id in self._responses
             or request.request_id in self._admitted

@@ -281,6 +281,40 @@ class TestDeterminism:
         )
         assert fanned.profile.records == serial.profile.records
 
+    def test_ebnn_kernel_launch_fans_out_like_serial(self):
+        """The eBNN executor launches in-process; the engine still matches.
+
+        Stages a 40-image wave (3 DPUs) and launches the view with an
+        explicit ``workers=2`` against the executor's ``workers=1``.
+        """
+        from repro.core.mapping_ebnn import EbnnExecutor
+        from repro.datasets import generate_batch
+        from repro.nn.models.ebnn import EbnnModel
+
+        executor = EbnnExecutor(EbnnModel())
+        batch = generate_batch(40, seed=21).normalized()
+        layout = executor.layout
+
+        def run(workers):
+            system = DpuSystem(SMALL)
+            dpu_set = system.allocate(3)
+            executor.warm(dpu_set)
+            view, _ = executor.stage(dpu_set.dpus, SMALL, batch)
+            report = view.launch(**dict(executor.launch_args, workers=workers))
+            memory = [d.read_symbol("results", layout.results_bytes) for d in view]
+            profiles = [d.last_result.profile for d in view]
+            system.free(dpu_set)
+            return report, memory, profiles
+
+        assert executor.launch_args["workers"] == 1
+        serial = run(1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(parallel, "PARALLEL_MIN_DPUS", 1)
+            fanned = run(2)
+        assert fanned[0].per_dpu_cycles == serial[0].per_dpu_cycles
+        assert fanned[1] == serial[1]
+        assert fanned[2] == serial[2]
+
 
 class TestTelemetryIntegration:
     def test_parallel_launch_traces_like_serial(self):

@@ -148,6 +148,17 @@ class TestServerBasics:
                 InferenceRequest(request_id=0, model="bert", payload=None)
             )
 
+    @pytest.mark.parametrize("shape", [(27, 27), (30, 30), (28, 28, 1)])
+    def test_misshapen_ebnn_payload_raises(self, shape):
+        server = InferenceServer(ebnn_pool())
+        bad = InferenceRequest(
+            request_id=0, model="ebnn", payload=np.zeros(shape)
+        )
+        with pytest.raises(ServeError, match=r"request 0: eBNN payload has shape"):
+            server.submit(bad)
+        # Never admitted: the id is still free.
+        assert server.submit(ebnn_request(0)) is None
+
     def test_duplicate_request_id_raises(self):
         server = InferenceServer(ebnn_pool())
         server.submit(ebnn_request(3))
