@@ -302,12 +302,9 @@ class EbnnExecutor:
             create_lut(model.bn, *model.config.conv_range) if use_lut else None
         )
         #: Keyword arguments of every set launch of the conv-pool kernel.
-        #: workers=1: the batched kernel takes about 1 ms per DPU, less
-        #: than shipping a DPU's state to a worker process and back.
         self.launch_args = dict(
             n_tasklets=n_tasklets,
             opt_level=opt_level,
-            workers=1,
             model=model,
             layout=self.layout,
             use_lut=use_lut,
@@ -343,13 +340,19 @@ class EbnnExecutor:
         only the DPUs that receive at least one image join the returned
         launch view.  Also returns each view DPU's image count.  Each
         image is bit-packed as :func:`pack_image` packs it (threshold
-        0.5) and zero-padded to the layout's ``image_bytes``.
+        0.5) and zero-padded to the layout's ``image_bytes``.  Raises
+        :class:`MappingError` when the images exceed the members'
+        capacity.
         """
         layout = self.layout
         per_dpu = layout.images_per_dpu
         images = self.check_images(images)
-        n_active = min(len(members), -(-len(images) // per_dpu))
-        images = images[: n_active * per_dpu]
+        if len(images) > len(members) * per_dpu:
+            raise MappingError(
+                f"{len(images)} images do not fit one wave: {len(members)} "
+                f"DPUs hold {len(members) * per_dpu} at {per_dpu} per DPU"
+            )
+        n_active = -(-len(images) // per_dpu)
         view = DpuSet(list(members[:n_active]), attributes)
         view.image = self.image  # loaded by warm(); no reload needed
         bits = (images >= 0.5).reshape(len(images), -1)

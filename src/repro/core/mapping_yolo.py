@@ -471,13 +471,9 @@ class YoloExecutor:
                 [np.ascontiguousarray(a_q[r], dtype=np.int16) for r in rows],
             )
             try:
-                # workers=1: single-row waves are too small for the process
-                # fan-out; on a 2-CPU host, 64-DPU waves fanned out took
-                # about 5x longer per image than serial launches.
                 report = wave.launch(
                     n_tasklets=self.n_tasklets,
                     opt_level=self.opt_level,
-                    workers=1,
                     fault_policy=fault_policy,
                     layout=layout,
                 )

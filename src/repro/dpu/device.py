@@ -100,28 +100,15 @@ class DpuImage:
 
 
 @dataclass
-class DpuMemoryState:
-    """Picklable snapshot of a DPU's mutable memory: MRAM pages + WRAM.
-
-    This is the unit the parallel launch engine ships into a worker
-    process, which rebuilds the DPU from it.  The arrays are shared with
-    the owning DPU (pickling copies them anyway).
-    """
-
-    mram_pages: dict[int, np.ndarray]
-    wram: np.ndarray
-
-
-@dataclass
 class DpuMemoryDelta:
     """Picklable *delta* of a DPU's memory: only what an execution wrote.
 
-    The cheap sibling of :class:`DpuMemoryState`: instead of every
+    The cheap sibling of :class:`DpuCheckpoint`: instead of every
     resident MRAM page and the whole WRAM, it carries the pages and the
     WRAM byte span dirtied since :meth:`Dpu.reset_memory_dirty` —
     O(touched), not O(memory).  This is what parallel-launch workers ship
-    back after a successful run.  As with the full snapshot, the arrays
-    may share storage with the producing DPU; pickling copies them.
+    back after a successful run.  The arrays may share storage with the
+    producing DPU; pickling copies them.
     """
 
     mram_pages: dict[int, np.ndarray]
@@ -131,7 +118,11 @@ class DpuMemoryDelta:
 
 @dataclass
 class DpuCheckpoint:
-    """A DPU's saved memories and DMA counters (see :meth:`Dpu.checkpoint`)."""
+    """A DPU's saved memories and DMA counters (see :meth:`Dpu.checkpoint`).
+
+    Also the state the parallel launch engine ships into a worker, which
+    restores a fresh DPU from it.
+    """
 
     mram_pages: dict[int, np.ndarray]
     wram: np.ndarray
@@ -202,34 +193,8 @@ class Dpu:
         return np.frombuffer(raw, dtype=dt).copy()
 
     # ------------------------------------------------------------------ #
-    # state shipping (parallel launch engine)
+    # write deltas (parallel launch engine)
     # ------------------------------------------------------------------ #
-
-    def export_memory_state(self) -> DpuMemoryState:
-        """Snapshot the mutable memories for shipping to a worker process.
-
-        Only resident MRAM pages travel (the backing store is sparse), so
-        a mostly-empty 64 MB MRAM costs a few KB of IPC.
-        """
-        return DpuMemoryState(
-            mram_pages=self.mram._pages,
-            wram=self.wram._data,
-        )
-
-    def apply_memory_state(self, state: DpuMemoryState) -> None:
-        """Adopt a shipped memory state (the mirror of export).
-
-        The Mram/Wram *objects* are preserved — only their backing buffers
-        are swapped — so the DMA engine and any host-side handles keep
-        working across a parallel launch.
-        """
-        self.mram._pages = state.mram_pages
-        if state.wram.size != self.wram.size:
-            raise DpuError(
-                f"shipped WRAM of {state.wram.size} bytes does not match "
-                f"this DPU's {self.wram.size}"
-            )
-        self.wram._data = state.wram
 
     def reset_memory_dirty(self) -> None:
         """Start tracking writes for :meth:`export_memory_delta`."""
@@ -260,11 +225,8 @@ class Dpu:
         )
 
     def apply_memory_delta(self, delta: DpuMemoryDelta) -> None:
-        """Merge a shipped delta into this DPU's memories.
-
-        Unlike :meth:`apply_memory_state` this *copies into* the existing
-        buffers rather than adopting new ones.
-        """
+        """Merge a shipped delta into this DPU's memories, copying into
+        the existing buffers."""
         for index, page in delta.mram_pages.items():
             live = self.mram._pages.get(index)
             if live is None:

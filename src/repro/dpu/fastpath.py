@@ -90,8 +90,8 @@ class _BindEnv:
 
     Decoding is per *program* (cached); binding is per *run*, because the
     WRAM backing buffer, DMA engine, profile, and opt level belong to one
-    interpreter instance (and ``apply_memory_state`` may swap buffers
-    between launches).
+    interpreter instance (and ``Dpu.restore`` may swap buffers between
+    launches).
     """
 
     __slots__ = (

@@ -60,8 +60,8 @@ class Wram:
 
     @_data.setter
     def _data(self, array: np.ndarray) -> None:
-        # Assigned by Dpu.apply_memory_state and Dpu.restore; keep the cached
-        # memoryview pointing at the adopted buffer.
+        # Assigned by Dpu.restore; keep the cached memoryview pointing at
+        # the adopted buffer.
         self._buf = np.ascontiguousarray(array)
         self._view = memoryview(self._buf)
 

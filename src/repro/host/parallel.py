@@ -1,36 +1,39 @@
-"""Parallel launch engine: fan a set-wide launch out over worker processes.
+"""Parallel launch engine: fan a program-image launch out over processes.
 
 Serial host execution of a :class:`~repro.host.runtime.DpuSet` launch costs
-wall-clock time linear in the DPU count, which makes the paper's
-thousand-DPU sweeps (Fig. 4.7 runs up to 2560 DPUs) impractical even
-though every DPU is independent.  This module runs the per-DPU
-interpreter/kernel executions across a ``ProcessPoolExecutor``:
+wall-clock time linear in the DPU count.  For program images, whose DPUs
+each run the instruction interpreter, this module runs the per-DPU
+executions across a ``ProcessPoolExecutor``.  Kernel images never come
+here: ``DpuSet.launch`` runs them in-process, where their set form or
+per-DPU loop beats shipping DPU state to a worker and back.
 
 * DPUs are split into one contiguous chunk per worker to amortize IPC;
-* each chunk ships the loaded image plus every member DPU's sparse MRAM
-  pages and WRAM (:class:`~repro.dpu.device.DpuMemoryState`);
-* the worker reconstructs each DPU, launches it, and ships back only the
-  memory the run *wrote* (:class:`~repro.dpu.device.DpuMemoryDelta`:
-  dirty MRAM pages plus the dirty WRAM span — O(touched), not
-  O(memory)), the execution result, the DMA counter deltas, and a
-  metrics delta (:meth:`MetricsRegistry.delta_since`); a failed DPU
-  ships nothing back, because the parent's copy was never touched;
-* the parent merges the deltas, accumulates DMA counters, merges the
+* each chunk ships the loaded image plus every member DPU's
+  :class:`~repro.dpu.device.DpuCheckpoint` (sparse MRAM pages, WRAM and
+  DMA counters);
+* the worker restores each DPU from its checkpoint, launches it, and
+  ships back only the memory the run *wrote*
+  (:class:`~repro.dpu.device.DpuMemoryDelta`: dirty MRAM pages plus the
+  dirty WRAM span — O(touched), not O(memory)), the execution result,
+  the DPU's DMA counter totals, and a metrics delta
+  (:meth:`MetricsRegistry.delta_since`); a failed DPU ships nothing
+  back, because the parent's copy was never touched;
+* the parent merges the deltas, adopts the DMA totals, merges the
   metrics delta into ``GLOBAL_METRICS``, and re-emits the per-DPU
   ``dpu.exec`` spans onto the active tracer — so telemetry from worker
   processes is never silently lost.
 
 **Determinism contract:** a parallel launch produces bit-identical MRAM
-and WRAM contents, identical cycle counts, and identical metric totals to
-``workers=1`` (only span wall-times differ).  Tests enforce this.
+and WRAM contents, identical cycle counts and DMA counters, and identical
+metric totals to ``workers=1`` (only span wall-times differ).  Tests
+enforce this.
 
 Worker-count resolution: an explicit ``launch(workers=N)`` always wins;
-otherwise the process-wide default applies (``repro --workers`` /
-:func:`set_default_workers`, else the ``REPRO_WORKERS`` environment
-variable, else ``os.cpu_count()``), and small sets — fewer than
+otherwise the process-wide default applies (:func:`set_default_workers`
+or :func:`worker_scope`, else the ``REPRO_WORKERS`` environment variable,
+else ``os.cpu_count()``), and small sets — fewer than
 :data:`PARALLEL_MIN_DPUS` members — stay serial because pool IPC would
-cost more than it saves.  ``workers=1`` is the in-process debug path,
-byte-for-byte today's serial execution.
+cost more than it saves.  ``workers=1`` is the in-process serial path.
 """
 
 from __future__ import annotations
@@ -47,8 +50,7 @@ from repro import faults, telemetry
 from repro.dpu import interpreter as interp
 from repro.dpu.attributes import UpmemAttributes
 from repro.dpu.costs import OptLevel
-from repro.dpu.device import Dpu, DpuImage, DpuMemoryDelta, DpuMemoryState
-from repro.dpu.kernel import GLOBAL_KERNELS
+from repro.dpu.device import Dpu, DpuCheckpoint, DpuImage, DpuMemoryDelta
 from repro.errors import DpuError, DpuHangError, LaunchError
 
 _M_PARALLEL_LAUNCHES = telemetry.GLOBAL_METRICS.counter(
@@ -59,7 +61,7 @@ _M_PARALLEL_CHUNKS = telemetry.GLOBAL_METRICS.counter(
 )
 
 #: Sets smaller than this run serially when the worker count was resolved
-#: implicitly (default/env/CLI): below it, pool IPC dominates any speedup.
+#: implicitly (default or env): below it, pool IPC dominates any speedup.
 #: Overridable via ``REPRO_PARALLEL_MIN_DPUS``; an explicit
 #: ``launch(workers=N)`` bypasses the threshold entirely.
 PARALLEL_MIN_DPUS = int(os.environ.get("REPRO_PARALLEL_MIN_DPUS", "16"))
@@ -91,8 +93,7 @@ def default_workers() -> int:
 def set_default_workers(workers: int | None) -> None:
     """Set the process-wide default worker count.
 
-    ``None`` restores the environment/cpu_count resolution.  The CLI's
-    ``--workers`` flag lands here.
+    ``None`` restores the environment/cpu_count resolution.
     """
     global _DEFAULT_WORKERS
     if workers is not None and workers < 1:
@@ -133,11 +134,11 @@ def resolve_workers(n_dpus: int, workers: int | None = None) -> int:
 
 @dataclass
 class DpuWorkOrder:
-    """One DPU's share of a chunk: its position, identity, and memories."""
+    """One DPU's share of a chunk: its position, identity, and state."""
 
     index: int  # position within the launching set
     dpu_id: int
-    memory: DpuMemoryState
+    checkpoint: DpuCheckpoint
 
 
 @dataclass
@@ -150,9 +151,6 @@ class ChunkTask:
     opt_level: OptLevel
     kernel_params: dict
     orders: list[DpuWorkOrder]
-    #: The kernel function itself (pickled by reference) so that a spawned
-    #: worker imports the module that registers it; None for program images.
-    kernel_fn: Any = None
     chunk_index: int = 0
     #: The parent's fault plan, shipped so pool workers (which are reused
     #: across launches) always run under the plan of *this* launch.
@@ -188,7 +186,7 @@ class DpuLaunchOutcome:
 
     A successful DPU ships its result, a
     :class:`~repro.dpu.device.DpuMemoryDelta` (only the MRAM pages and
-    WRAM span the run wrote) and its DMA counter deltas.  A failed DPU
+    WRAM span the run wrote) and its DMA counter totals.  A failed DPU
     ships its outcome alone: the parent's copy was never touched.
     """
 
@@ -220,7 +218,7 @@ def run_attempts(
 
     Returns the DPU's outcome and its result (None when it failed).
     Serial tolerant launches and dead-worker reruns run it on the live
-    DPU, workers on their reconstructed copy.  A failed attempt restores
+    DPU, workers on their restored copy.  A failed attempt restores
     the pre-launch checkpoint and restarts write tracking, so a retry
     runs from pristine state and a delta exported after it holds no page
     that only the failed attempt touched; a DPU that exhausts its
@@ -260,7 +258,7 @@ def run_attempts(
 def _run_order(task: ChunkTask, order: DpuWorkOrder) -> DpuLaunchOutcome:
     """Run one DPU of a chunk under the task's fault policy."""
     dpu = Dpu(order.dpu_id, task.attributes)
-    dpu.apply_memory_state(order.memory)
+    dpu.restore(order.checkpoint)
     dpu.load(task.image)
     try:
         outcome, result = run_attempts(
@@ -279,8 +277,8 @@ def _run_order(task: ChunkTask, order: DpuWorkOrder) -> DpuLaunchOutcome:
         ) from exc
     if not outcome.ok:
         return DpuLaunchOutcome(outcome)
-    # The fresh DPU's DMA engine started at zero, so its totals ARE this
-    # launch's deltas; the parent accumulates them.
+    # The DPU started from the parent's DMA counters, so these are the
+    # totals the parent adopts.
     dma = dpu.dma
     return DpuLaunchOutcome(
         outcome,
@@ -314,8 +312,6 @@ def _run_chunk(task: ChunkTask) -> ChunkOutcome:
         and plan.kill_worker(task.chunk_index, task.orders[0].dpu_id)
     ):
         os._exit(_KILL_EXIT)
-    if task.kernel_fn is not None and task.image.kernel_name not in GLOBAL_KERNELS:
-        GLOBAL_KERNELS.register(task.image.kernel_name, task.kernel_fn)
     before = telemetry.GLOBAL_METRICS.snapshot()
     outcomes = [_run_order(task, order) for order in task.orders]
     return ChunkOutcome(
@@ -336,7 +332,7 @@ def _executor(workers: int) -> ProcessPoolExecutor:
     pool = _EXECUTORS.get(workers)
     if pool is None:
         try:
-            # fork is fastest and inherits the kernel/metric registries;
+            # fork is fastest and inherits the metric registry;
             # platforms without it (Windows) fall back to the default.
             context = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX platforms
@@ -401,7 +397,7 @@ def launch_parallel(
     fault_policy: str = "raise",
     max_retries: int = 0,
 ) -> list[tuple[DpuOutcome, Any]]:
-    """Run every DPU of ``dpu_set`` across ``workers`` processes.
+    """Run every DPU of a program-image set across ``workers`` processes.
 
     Returns each DPU's outcome and result in set order, as
     :func:`run_attempts` does, with each parent-side DPU updated in place
@@ -423,11 +419,6 @@ def launch_parallel(
     """
     dpus = dpu_set.dpus
     image = dpu_set.image
-    kernel_fn = (
-        GLOBAL_KERNELS.get(image.kernel_name)
-        if image.kernel_name is not None
-        else None
-    )
     plan = faults.current_plan()
     chunks = chunk_indices(len(dpus), workers)
     tasks = []
@@ -436,7 +427,7 @@ def launch_parallel(
             DpuWorkOrder(
                 index=i,
                 dpu_id=dpus[i].dpu_id,
-                memory=dpus[i].export_memory_state(),
+                checkpoint=dpus[i].checkpoint(),
             )
             for i in chunk
         ]
@@ -448,7 +439,6 @@ def launch_parallel(
                 opt_level=opt_level,
                 kernel_params=kernel_params,
                 orders=orders,
-                kernel_fn=kernel_fn,
                 chunk_index=chunk_index,
                 fault_plan=plan,
                 fault_policy=fault_policy,
@@ -540,9 +530,8 @@ def launch_parallel(
             dpu = dpus[outcome.index]
             if outcome.ok:
                 dpu.apply_memory_delta(reply.delta)
-                dpu.dma.total_cycles += reply.dma[0]
-                dpu.dma.total_bytes += reply.dma[1]
-                dpu.dma.transfer_count += reply.dma[2]
+                dma = dpu.dma
+                dma.total_cycles, dma.total_bytes, dma.transfer_count = reply.dma
             dpu.last_result = reply.result
             runs[outcome.index] = (outcome, reply.result)
     if fault_policy == "raise" and failures:

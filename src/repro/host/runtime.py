@@ -7,11 +7,12 @@ API, launch, synchronize, and read results back.
 
 Launches across a set are *parallel in simulated time*: every DPU runs the
 same image on its own data (the SIMD-across-DIMMs model of Section 3.1),
-so the set's elapsed time is the maximum over its members.  Host-side
-Python can also execute them in parallel across worker processes (see
-:mod:`repro.host.parallel` and the ``workers=`` launch argument) with
-results bit-identical to serial execution; all reported latencies come
-from the simulated clocks either way.
+so the set's elapsed time is the maximum over its members.  Kernel
+images always execute in-process; program images can also execute across
+host worker processes (see :mod:`repro.host.parallel` and the
+``workers=`` launch argument) with results bit-identical to serial
+execution.  All reported latencies come from the simulated clocks either
+way.
 
 Asynchronous launches (``launch_async``) do **not** advance the simulated
 cursor when issued: the first ``wait()`` on a handle advances it by that
@@ -185,10 +186,13 @@ class DpuSet:
     ) -> LaunchReport:
         """``dpu_launch`` + sync: run every DPU, report the set's timing.
 
-        ``workers`` selects how many host processes execute the per-DPU
-        runs: 1 is the in-process serial path, >1 fans out through
-        :mod:`repro.host.parallel` with bit-identical results.  ``None``
-        resolves the configured default (``repro --workers`` /
+        The image decides where the DPUs run.  A kernel image always runs
+        in-process and ignores ``workers``: once for the whole set through
+        its set form when one applies, else DPU by DPU.  For a program
+        image ``workers`` selects how many host processes execute the
+        per-DPU runs: 1 is the in-process serial path, >1 fans out
+        through :mod:`repro.host.parallel` with bit-identical results.  ``None``
+        resolves the configured default (:func:`parallel.worker_scope` /
         ``REPRO_WORKERS`` / cpu count), which only engages the pool for
         sets of at least ``parallel.PARALLEL_MIN_DPUS`` DPUs.
 
@@ -203,9 +207,9 @@ class DpuSet:
           up to ``max_retries`` extra attempts, then isolate.
 
         Serial and parallel launches share one per-DPU attempt/restore
-        loop, :func:`repro.host.parallel.run_attempts`.  A serial launch
-        of a kernel with a set form runs it once for the whole set
-        instead, unless the fault plan injects into a member.
+        loop, :func:`repro.host.parallel.run_attempts`.  A kernel with a
+        set form runs it once for the whole set instead, unless the fault
+        plan injects into a member.
 
         ``None`` defers to the installed fault plan's ``default_policy``
         (``"raise"`` when injection is off).
@@ -261,7 +265,10 @@ class DpuSet:
         self._require_live("launch")
         if self.image is None:
             raise LaunchError("launch before load")
-        n_workers = parallel.resolve_workers(len(self.dpus), workers)
+        if self.image.kernel_name is not None:
+            n_workers = 1  # kernel images always run in-process
+        else:
+            n_workers = parallel.resolve_workers(len(self.dpus), workers)
         plan = faults.current_plan()
         policy = fault_policy or (
             plan.default_policy if plan is not None else "raise"
@@ -313,7 +320,7 @@ class DpuSet:
         runs: list[tuple[DpuOutcome, Any]] | None = None
         outcomes: list[DpuOutcome] = []
         results = None
-        if workers == 1:
+        if self.image.kernel_name is not None:
             results = self._launch_set_form(
                 n_tasklets, opt_level, kernel_params, fault_policy
             )
@@ -324,7 +331,7 @@ class DpuSet:
                     DpuOutcome(index, dpu.dpu_id)
                     for index, dpu in enumerate(self.dpus)
                 ]
-        elif workers > 1 and len(self.dpus) > 1:
+        elif workers > 1:  # a program image over several DPUs
             runs = parallel.launch_parallel(
                 self,
                 n_tasklets=n_tasklets,

@@ -7,6 +7,7 @@ from repro.core.mapping_ebnn import (
     EBNN_TASKLETS,
     IMAGES_PER_DPU,
     EbnnDpuLayout,
+    EbnnExecutor,
     EbnnPimRunner,
     ebnn_dpu_cycles,
     ebnn_image_latency_seconds,
@@ -180,6 +181,17 @@ class TestValidation:
     def test_paper_constants(self):
         assert IMAGES_PER_DPU == 16
         assert EBNN_TASKLETS == 16
+
+    def test_stage_rejects_images_past_the_members_capacity(self, model):
+        """40 images on 2 DPUs of 16 images each raise, none are dropped."""
+        executor = EbnnExecutor(model)
+        system = DpuSystem(UPMEM_ATTRIBUTES.scaled(2))
+        dpu_set = system.allocate(2)
+        executor.warm(dpu_set)
+        batch = generate_batch(40, seed=21).normalized()
+        with pytest.raises(MappingError, match=r"40 images .* hold 32"):
+            executor.stage(dpu_set.dpus, system.attributes, batch)
+        system.free(dpu_set)
 
 
 class TestPartialWave:

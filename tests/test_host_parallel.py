@@ -230,29 +230,35 @@ class TestDeterminism:
             assert dpu.read_symbol("digest", 8) == dpu.wram.read(8, 8)
         system.free(dpu_set)
 
-    def test_kernel_launch_matches_serial(self):
-        """The kernel path (eBNN's mechanism) ships results and memory."""
+    def test_second_launch_keeps_dma_totals(self):
+        """A launch from non-zero DMA counters ends with serial's totals.
+
+        The first launch runs serially, so every DPU enters the second,
+        parallel launch with DMA counters a worker must carry forward.
+        """
         def run(workers):
             system = DpuSystem(SMALL)
-            dpu_set = system.allocate(6)
-            image = DpuImage.from_symbol_layout(
-                "kern", kernel_name="test_double", layout=[("data", 64)]
+            dpu_set = system.allocate(8)
+            dpu_set.load(mix_image())
+            dpu_set.scatter("seed", [bytes([i + 1] * 8) for i in range(8)])
+            dpu_set.launch(workers=1)
+            assert all(d.dma.transfer_count > 0 for d in dpu_set)
+            dpu_set.scatter("seed", [bytes([i + 9] * 8) for i in range(8)])
+            report = dpu_set.launch(workers=workers)
+            state = (
+                report.per_dpu_cycles,
+                dpu_set.gather("digest", 8),
+                [
+                    (d.dma.total_cycles, d.dma.total_bytes, d.dma.transfer_count)
+                    for d in dpu_set
+                ],
             )
-            dpu_set.load(image)
-            rows = [
-                np.arange(i, i + 16, dtype=np.int32) for i in range(6)
-            ]
-            dpu_set.scatter("data", rows)
-            report = dpu_set.launch(workers=workers, count=16)
-            out = dpu_set.gather("data", 64)
             system.free(dpu_set)
-            return report, out
+            return state
 
-        s_report, s_out = run(1)
-        p_report, p_out = run(3)
-        assert p_report.per_dpu_cycles == s_report.per_dpu_cycles
-        assert p_out == s_out
-        assert p_out[2] == (np.arange(2, 18, dtype=np.int32) * 2).tobytes()
+        serial = run(1)
+        assert run(4) == serial
+        assert serial[2][0][2] == 4  # two transfers per launch
 
     def test_ebnn_pipeline_matches_serial(self):
         """Multi-DPU eBNN inference is bit-identical at any worker count."""
@@ -281,39 +287,56 @@ class TestDeterminism:
         )
         assert fanned.profile.records == serial.profile.records
 
-    def test_ebnn_kernel_launch_fans_out_like_serial(self):
-        """The eBNN executor launches in-process; the engine still matches.
 
-        Stages a 40-image wave (3 DPUs) and launches the view with an
-        explicit ``workers=2`` against the executor's ``workers=1``.
-        """
-        from repro.core.mapping_ebnn import EbnnExecutor
-        from repro.datasets import generate_batch
-        from repro.nn.models.ebnn import EbnnModel
+class TestRouting:
+    """The image decides the path: kernel images run in-process, program
+    images may fan out through the engine."""
 
-        executor = EbnnExecutor(EbnnModel())
-        batch = generate_batch(40, seed=21).normalized()
-        layout = executor.layout
+    @pytest.fixture
+    def engine_calls(self, monkeypatch):
+        """Worker counts of every ``launch_parallel`` call."""
+        calls = []
+        original = parallel.launch_parallel
 
-        def run(workers):
-            system = DpuSystem(SMALL)
-            dpu_set = system.allocate(3)
-            executor.warm(dpu_set)
-            view, _ = executor.stage(dpu_set.dpus, SMALL, batch)
-            report = view.launch(**dict(executor.launch_args, workers=workers))
-            memory = [d.read_symbol("results", layout.results_bytes) for d in view]
-            profiles = [d.last_result.profile for d in view]
-            system.free(dpu_set)
-            return report, memory, profiles
+        def recording(dpu_set, **kwargs):
+            calls.append(kwargs["workers"])
+            return original(dpu_set, **kwargs)
 
-        assert executor.launch_args["workers"] == 1
-        serial = run(1)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(parallel, "PARALLEL_MIN_DPUS", 1)
-            fanned = run(2)
-        assert fanned[0].per_dpu_cycles == serial[0].per_dpu_cycles
-        assert fanned[1] == serial[1]
-        assert fanned[2] == serial[2]
+        monkeypatch.setattr(parallel, "launch_parallel", recording)
+        return calls
+
+    @staticmethod
+    def kernel_launch(**launch_kwargs):
+        system = DpuSystem(SMALL)
+        dpu_set = system.allocate(6)
+        dpu_set.load(DpuImage.from_symbol_layout(
+            "kern", kernel_name="test_double", layout=[("data", 64)]
+        ))
+        dpu_set.scatter(
+            "data", [np.arange(i, i + 16, dtype=np.int32) for i in range(6)]
+        )
+        with telemetry.tracing() as tracer:
+            report = dpu_set.launch(count=16, **launch_kwargs)
+        out = dpu_set.gather("data", 64)
+        system.free(dpu_set)
+        (span,) = tracer.find("dpu.launch")
+        return report.per_dpu_cycles, out, span.attributes["workers"]
+
+    def test_kernel_image_never_reaches_the_engine(
+        self, engine_calls, monkeypatch
+    ):
+        cycles, out, _ = self.kernel_launch(workers=1)
+        explicit = self.kernel_launch(workers=3)
+        monkeypatch.setattr(parallel, "PARALLEL_MIN_DPUS", 1)
+        with parallel.worker_scope(4):
+            scoped = self.kernel_launch()
+        assert engine_calls == []
+        assert explicit == scoped == (cycles, out, 1)
+        assert out[2] == (np.arange(2, 18, dtype=np.int32) * 2).tobytes()
+
+    def test_program_image_with_workers_fans_out(self, engine_calls):
+        run_mix(4, workers=2)
+        assert engine_calls == [2]
 
 
 class TestTelemetryIntegration:

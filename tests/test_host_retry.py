@@ -54,7 +54,7 @@ def test_worker_delta_after_retry_holds_only_the_retry_pages():
         opt_level=OptLevel.O0,
         kernel_params={},
         orders=[parallel.DpuWorkOrder(
-            index=0, dpu_id=0, memory=dpu.export_memory_state()
+            index=0, dpu_id=0, checkpoint=dpu.checkpoint()
         )],
         fault_policy="retry",
         max_retries=1,

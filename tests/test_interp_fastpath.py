@@ -553,7 +553,7 @@ class TestParallelDeltaLaunch:
             opt_level=OptLevel.O0,
             kernel_params={},
             orders=[par.DpuWorkOrder(
-                index=0, dpu_id=0, memory=dpu.export_memory_state()
+                index=0, dpu_id=0, checkpoint=dpu.checkpoint()
             )],
         )
         reply = par._run_order(task, task.orders[0])
